@@ -30,27 +30,19 @@ struct ContrastMatrixParams {
 
 /// Computes the full D x D matrix. Fails on invalid params or fewer than
 /// two attributes / objects. Thin adapter: prepares `dataset` privately
-/// and delegates to the PreparedDataset overload.
+/// and delegates to the plane overload.
 Result<Matrix> ComputeContrastMatrix(const Dataset& dataset,
                                      const ContrastMatrixParams& params = {});
 
-/// Prepared-path variant: reuses `prepared`'s sorted-attribute index and
-/// rank artifacts (shared with RunHicsSearch and the ranking stage)
-/// instead of rebuilding them — the second index build the matrix used to
-/// pay is gone. Bit-identical to the Dataset overload.
-Result<Matrix> ComputeContrastMatrix(const PreparedDataset& prepared,
-                                     const ContrastMatrixParams& params = {});
-
-/// Sharded variant: every pair's estimate fans out over the shards (shard
-/// s runs ShardIterations(M, S, s) iterations on its own rows with stream
-/// ShardStreamSeed(seed, pair, s)) and the matrix entry is the row-count-
-/// weighted average of the per-shard estimates, reduced in shard-ordinal
-/// order. Bit-identical for a fixed effective shard count across thread
-/// counts and shard completion orders, and entry (i, j) equals the
-/// sharded RunHicsSearch's level-2 score of {i, j} under the same seed —
-/// but it is a different estimator than the unsharded matrix (agreement
-/// within Monte Carlo noise, not bit-equality).
-Result<Matrix> ComputeContrastMatrix(const ShardPlane& sharded,
+/// Plane variant (engine/shard_plane.h): scores AllTwoDimensionalSubspaces
+/// through the search's own level evaluator, so entry (i, j) equals
+/// RunHicsSearch's level-2 score of {i, j} on the same plane under the
+/// same seed, M and alpha — one-shard rule and S > 1 merge included (see
+/// RunHicsSearch). A PreparedDataset is the one-shard plane: the matrix
+/// reuses its sorted-attribute index and rank artifacts (shared with the
+/// search and the ranking stage). Bit-identical for a fixed effective
+/// shard count across thread counts and shard completion orders.
+Result<Matrix> ComputeContrastMatrix(const ShardPlane& plane,
                                      const ContrastMatrixParams& params = {});
 
 }  // namespace hics

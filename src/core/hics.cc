@@ -1,7 +1,6 @@
 #include "core/hics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <optional>
 
@@ -126,6 +125,125 @@ std::size_t PruneRedundant(std::vector<ScoredSubspace>* subspaces) {
   return removed;
 }
 
+LevelEvaluator::LevelEvaluator(const ShardPlane& plane,
+                               const stats::TwoSampleTest& test,
+                               const ContrastParams& params,
+                               std::uint64_t seed, std::size_t num_threads)
+    : seed_(seed),
+      num_threads_(num_threads),
+      estimators_(plane.num_shards()),
+      weights_(plane.num_shards()) {
+  const std::size_t num_shards = plane.num_shards();
+  // Building an estimator forces its shard's lazy rank artifacts, so fan
+  // the construction out — the artifact content is build-order-invariant.
+  ParallelFor(0, num_shards, num_threads, [&](std::size_t s) {
+    ContrastParams shard_params = params;
+    shard_params.num_iterations =
+        ShardIterations(params.num_iterations, num_shards, s);
+    estimators_[s] =
+        std::make_unique<ContrastEstimator>(plane.shard(s), test, shard_params);
+  });
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    weights_[s] = static_cast<double>(plane.shard_size(s));
+  }
+}
+
+Status LevelEvaluator::Score(const std::vector<Subspace>& level,
+                             std::uint64_t eval_base, const RunContext& ctx,
+                             std::vector<ScoredSubspace>* scored,
+                             HicsRunStats* stats) const {
+  // Per-(subspace, shard) slot states.
+  enum : char { kNotRun = 0, kOk = 1, kFailed = 2 };
+  const std::size_t num_shards = estimators_.size();
+  const bool sharded = num_shards > 1;
+
+  // Fan out over (subspace, shard) tasks: task t = subspace t/S, shard
+  // t%S. Results land in per-task slots; the merge below reads them in
+  // shard-ordinal order, so neither thread count nor completion order can
+  // reorder a single floating-point operation.
+  const std::size_t tasks = level.size() * num_shards;
+  std::vector<double> values(tasks, 0.0);
+  std::vector<char> state(tasks, kNotRun);
+  std::vector<ContrastScratch> scratches(
+      ParallelWorkerCount(tasks, num_threads_));
+  const Status level_status = ParallelTryForWorker(
+      0, tasks, num_threads_,
+      [&](std::size_t t, std::size_t worker) -> Status {
+        const std::size_t i = t / num_shards;
+        const std::size_t shard = t % num_shards;
+        const std::uint64_t hash = SubspaceHash{}(level[i]);
+        // Shard-major estimate ordinal; on one shard it is the subspace's
+        // own ordinal eval_base + i + 1. "shard.contrast" is probed with
+        // the bare shard ordinal so FailNthCall(site, k) poisons shard k-1
+        // on every subspace — the "one poisoned shard" drill.
+        const std::uint64_t ordinal = (eval_base + i) * num_shards + shard + 1;
+        Status injected =
+            sharded ? ctx.InjectFault("shard.contrast",
+                                      static_cast<std::uint64_t>(shard) + 1)
+                    : Status::OK();
+        if (injected.ok()) {
+          injected = ctx.InjectFault("contrast.estimate", ordinal);
+        }
+        Result<double> contrast =
+            injected.ok()
+                ? [&]() -> Result<double> {
+                    // One shard: the unsharded per-subspace stream.
+                    Rng rng(sharded ? ShardStreamSeed(seed_, hash, shard)
+                                    : seed_ ^ (hash * 0x9e3779b97f4a7c15ULL));
+                    return estimators_[shard]->Contrast(
+                        level[i], &rng, &scratches[worker], ctx, ordinal);
+                  }()
+                : Result<double>(std::move(injected));
+        if (contrast.ok()) {
+          values[t] = *contrast;
+          state[t] = kOk;
+          return Status::OK();
+        }
+        const StatusCode code = contrast.status().code();
+        if (code == StatusCode::kCancelled ||
+            code == StatusCode::kDeadlineExceeded) {
+          return contrast.status();  // stops the level deterministically
+        }
+        state[t] = kFailed;  // isolated: one shard of one subspace
+        return Status::OK();
+      },
+      [&ctx] { return ctx.ShouldStop(); });
+
+  // Merge. A subspace with an unevaluated slot (interrupted level) is not
+  // merged — partial merges would make interrupted results depend on
+  // scheduling. One shard: the score is the estimate itself. S > 1: the
+  // row-count-weighted average over the surviving shards, weights
+  // renormalized when shards dropped out.
+  for (std::size_t i = 0; i < level.size(); ++i) {
+    bool all_run = true;
+    std::size_t shard_failures = 0;
+    double weight_sum = 0.0;
+    double value_sum = 0.0;
+    for (std::size_t shard = 0; shard < num_shards; ++shard) {
+      const std::size_t t = i * num_shards + shard;
+      if (state[t] == kNotRun) {
+        all_run = false;
+        break;
+      }
+      if (state[t] == kOk) {
+        value_sum += weights_[shard] * values[t];
+        weight_sum += weights_[shard];
+      } else {
+        ++shard_failures;
+      }
+    }
+    if (!all_run) continue;
+    if (sharded) stats->failed_shard_evaluations += shard_failures;
+    if (shard_failures == num_shards) {
+      ++stats->failed_contrast_evaluations;
+      continue;
+    }
+    scored->push_back(
+        {level[i], sharded ? value_sum / weight_sum : values[i]});
+  }
+  return level_status;
+}
+
 }  // namespace internal
 
 Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
@@ -147,15 +265,14 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
 }
 
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const PreparedDataset& prepared, const HicsParams& params,
-    HicsRunStats* stats) {
-  return RunHicsSearch(prepared, params, RunContext(), stats);
+    const ShardPlane& plane, const HicsParams& params, HicsRunStats* stats) {
+  return RunHicsSearch(plane, params, RunContext(), stats);
 }
 
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const PreparedDataset& prepared, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats) {
-  const Dataset& dataset = prepared.dataset();
+    const ShardPlane& plane, const HicsParams& params, const RunContext& ctx,
+    HicsRunStats* stats) {
+  const Dataset& dataset = plane.dataset();
   HICS_RETURN_NOT_OK(params.Validate());
   if (dataset.num_attributes() < 2) {
     return Status::InvalidArgument(
@@ -182,17 +299,13 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
   HICS_CHECK(test != nullptr);
   const std::size_t num_threads =
       params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
-  const ContrastParams contrast_params{params.num_iterations, params.alpha,
-                                       params.use_rank_space_kernel};
-  const ContrastEstimator estimator(prepared, *test, contrast_params);
-  HicsRunStats local_stats;
+  const internal::LevelEvaluator evaluator(
+      plane, *test,
+      ContrastParams{params.num_iterations, params.alpha,
+                     params.use_rank_space_kernel},
+      params.seed, num_threads);
 
-  // Every subspace gets its own Monte Carlo stream derived from
-  // (seed, subspace), making the search reproducible independent of the
-  // level evaluation order and the worker count.
-  auto subspace_rng = [&params](const Subspace& s) {
-    return Rng(params.seed ^ (SubspaceHash{}(s) * 0x9e3779b97f4a7c15ULL));
-  };
+  HicsRunStats local_stats;
   auto record_interruption = [&local_stats](const Status& st) {
     if (st.code() == StatusCode::kCancelled) local_stats.cancelled = true;
     if (st.code() == StatusCode::kDeadlineExceeded) {
@@ -203,9 +316,8 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
   std::vector<ScoredSubspace> pool;   // everything retained across levels
   std::vector<Subspace> level = internal::AllTwoDimensionalSubspaces(
       dataset.num_attributes());
-  // Cumulative count of contrast evaluations issued before the current
-  // level; eval_base + i + 1 is evaluation i's deterministic 1-based fault
-  // ordinal, equal to the arrival count of an uninterrupted serial run.
+  // Cumulative count of subspaces evaluated before the current level; the
+  // base of the level's deterministic fault ordinals.
   std::uint64_t eval_base = 0;
 
   while (!level.empty()) {
@@ -221,54 +333,14 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
     }
     ++local_stats.levels_processed;
 
-    // Score the whole level (in parallel when configured), then apply the
-    // adaptive threshold: keep only the candidate_cutoff best (§IV-B).
-    // A contrast evaluation that fails is isolated: its subspace is skipped
-    // (it neither enters the pool nor seeds the next level) and tallied.
-    // Only interruption codes (cancel/deadline) stop the level early; the
-    // subspaces scored before the stop still count as best-so-far results.
-    std::vector<ScoredSubspace> scored(level.size());
-    std::vector<char> scored_ok(level.size(), 0);
-    std::atomic<std::size_t> failed{0};
-    std::vector<ContrastScratch> scratches(
-        ParallelWorkerCount(level.size(), num_threads));
-    const Status level_status = ParallelTryForWorker(
-        0, level.size(), num_threads,
-        [&](std::size_t i, std::size_t worker) -> Status {
-          const std::uint64_t ordinal = eval_base + i + 1;
-          Status injected = ctx.InjectFault("contrast.estimate", ordinal);
-          Result<double> contrast =
-              injected.ok()
-                  ? [&]() -> Result<double> {
-                      Rng rng = subspace_rng(level[i]);
-                      return estimator.Contrast(level[i], &rng,
-                                                &scratches[worker], ctx,
-                                                ordinal);
-                    }()
-                  : Result<double>(std::move(injected));
-          if (contrast.ok()) {
-            scored[i] = {std::move(level[i]), *contrast};
-            scored_ok[i] = 1;
-            return Status::OK();
-          }
-          const StatusCode code = contrast.status().code();
-          if (code == StatusCode::kCancelled ||
-              code == StatusCode::kDeadlineExceeded) {
-            return contrast.status();  // stops the level deterministically
-          }
-          failed.fetch_add(1, std::memory_order_relaxed);
-          return Status::OK();  // isolated: skip this subspace, keep going
-        },
-        [&ctx] { return ctx.ShouldStop(); });
-    eval_base += level.size();
-    local_stats.failed_contrast_evaluations +=
-        failed.load(std::memory_order_relaxed);
-
+    // Score the whole level, then apply the adaptive threshold: keep only
+    // the candidate_cutoff best (§IV-B). Failed subspaces neither enter
+    // the pool nor seed the next level; an interrupted level still
+    // contributes the subspaces scored before the stop (best-so-far).
     std::vector<ScoredSubspace> completed;
-    completed.reserve(scored.size());
-    for (std::size_t i = 0; i < scored.size(); ++i) {
-      if (scored_ok[i]) completed.push_back(std::move(scored[i]));
-    }
+    const Status level_status =
+        evaluator.Score(level, eval_base, ctx, &completed, &local_stats);
+    eval_base += level.size();
     local_stats.contrast_evaluations += completed.size();
     if (!completed.empty()) {
       local_stats.max_level_reached =
@@ -280,206 +352,6 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(
     KeepTopK(&completed, params.candidate_cutoff);
 
     // Survivors seed the next level and enter the output pool.
-    std::vector<Subspace> survivors;
-    survivors.reserve(completed.size());
-    for (const ScoredSubspace& s : completed) survivors.push_back(s.subspace);
-    std::sort(survivors.begin(), survivors.end());
-    for (ScoredSubspace& s : completed) pool.push_back(std::move(s));
-
-    if (!level_status.ok()) {
-      record_interruption(level_status);
-      break;
-    }
-    const Status after_level = ctx.CheckProgress();
-    if (!after_level.ok()) {
-      record_interruption(after_level);
-      break;
-    }
-    level = internal::GenerateCandidates(survivors);
-  }
-
-  if (params.prune_redundant) {
-    local_stats.pruned_redundant = internal::PruneRedundant(&pool);
-  }
-  KeepTopK(&pool, params.output_top_k);
-
-  if (stats != nullptr) *stats = local_stats;
-  return pool;
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const ShardPlane& sharded, const HicsParams& params,
-    HicsRunStats* stats) {
-  return RunHicsSearch(sharded, params, RunContext(), stats);
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const ShardPlane& sharded, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats) {
-  const Dataset& dataset = sharded.dataset();
-  HICS_RETURN_NOT_OK(params.Validate());
-  if (dataset.num_attributes() < 2) {
-    return Status::InvalidArgument(
-        "HiCS requires at least 2 attributes, got " +
-        std::to_string(dataset.num_attributes()));
-  }
-  if (dataset.num_objects() < 2) {
-    return Status::InvalidArgument("HiCS requires at least 2 objects");
-  }
-  HICS_RETURN_NOT_OK(ctx.InjectFault("hics.search"));
-
-  std::optional<simd::ScopedSimdTier> tier_scope;
-  if (params.simd_tier != "auto") {
-    simd::SimdTier requested = simd::DetectedTier();
-    simd::ParseSimdTier(params.simd_tier, &requested);  // validated above
-    tier_scope.emplace(requested);
-  }
-
-  const auto test = stats::MakeTwoSampleTest(params.statistical_test);
-  HICS_CHECK(test != nullptr);
-  const std::size_t num_threads =
-      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
-  const std::size_t num_shards = sharded.num_shards();
-
-  // One estimator per shard, each with its slice of the iteration budget.
-  // Building them forces the per-shard lazy rank artifacts, so fan the
-  // construction out — the artifact content is build-order-invariant.
-  std::vector<std::unique_ptr<ContrastEstimator>> estimators(num_shards);
-  ParallelFor(0, num_shards, num_threads, [&](std::size_t s) {
-    const ContrastParams shard_params{
-        ShardIterations(params.num_iterations, num_shards, s), params.alpha,
-        params.use_rank_space_kernel};
-    estimators[s] = std::make_unique<ContrastEstimator>(sharded.shard(s),
-                                                        *test, shard_params);
-  });
-  std::vector<double> weights(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    weights[s] = static_cast<double>(sharded.shard_size(s));
-  }
-
-  HicsRunStats local_stats;
-  auto record_interruption = [&local_stats](const Status& st) {
-    if (st.code() == StatusCode::kCancelled) local_stats.cancelled = true;
-    if (st.code() == StatusCode::kDeadlineExceeded) {
-      local_stats.deadline_exceeded = true;
-    }
-  };
-
-  std::vector<ScoredSubspace> pool;
-  std::vector<Subspace> level = internal::AllTwoDimensionalSubspaces(
-      dataset.num_attributes());
-  std::uint64_t eval_base = 0;  // subspace-granular, like the unsharded path
-
-  // Per-(subspace, shard) slot states for one level.
-  enum : char { kNotRun = 0, kOk = 1, kFailed = 2 };
-
-  while (!level.empty()) {
-    const Status progress = ctx.CheckProgress();
-    if (!progress.ok()) {
-      record_interruption(progress);
-      break;
-    }
-    const std::size_t dims = level.front().size();
-    if (params.max_dimensionality != 0 &&
-        dims > params.max_dimensionality) {
-      break;
-    }
-    ++local_stats.levels_processed;
-
-    // Fan out over (subspace, shard) tasks: task t = subspace t/S, shard
-    // t%S. Results land in per-task slots; the weighted merge below reads
-    // them in shard-ordinal order, so neither thread count nor completion
-    // order can reorder a single floating-point operation.
-    const std::size_t tasks = level.size() * num_shards;
-    std::vector<double> values(tasks, 0.0);
-    std::vector<char> state(tasks, kNotRun);
-    std::vector<ContrastScratch> scratches(
-        ParallelWorkerCount(tasks, num_threads));
-    const Status level_status = ParallelTryForWorker(
-        0, tasks, num_threads,
-        [&](std::size_t t, std::size_t worker) -> Status {
-          const std::size_t i = t / num_shards;
-          const std::size_t shard = t % num_shards;
-          // The sharded estimate ordinal: evaluation (eval_base + i)'s
-          // shard block, shard-major. "shard.contrast" is probed with the
-          // bare shard ordinal so FailNthCall(site, k) poisons shard k-1
-          // on every subspace — the "one poisoned shard" drill.
-          const std::uint64_t ordinal =
-              (eval_base + i) * num_shards + shard + 1;
-          Status injected = ctx.InjectFault(
-              "shard.contrast", static_cast<std::uint64_t>(shard) + 1);
-          if (injected.ok()) {
-            injected = ctx.InjectFault("contrast.estimate", ordinal);
-          }
-          Result<double> contrast =
-              injected.ok()
-                  ? [&]() -> Result<double> {
-                      Rng rng(ShardStreamSeed(
-                          params.seed, SubspaceHash{}(level[i]), shard));
-                      return estimators[shard]->Contrast(
-                          level[i], &rng, &scratches[worker], ctx, ordinal);
-                    }()
-                  : Result<double>(std::move(injected));
-          if (contrast.ok()) {
-            values[t] = *contrast;
-            state[t] = kOk;
-            return Status::OK();
-          }
-          const StatusCode code = contrast.status().code();
-          if (code == StatusCode::kCancelled ||
-              code == StatusCode::kDeadlineExceeded) {
-            return contrast.status();
-          }
-          state[t] = kFailed;  // isolated: one shard of one subspace
-          return Status::OK();
-        },
-        [&ctx] { return ctx.ShouldStop(); });
-    eval_base += level.size();
-
-    // Merge: weighted average over the surviving shards, weights
-    // renormalized when shards dropped out. A subspace with an unevaluated
-    // shard slot (interrupted level) is not merged — partial merges would
-    // make interrupted results depend on scheduling.
-    std::vector<ScoredSubspace> completed;
-    completed.reserve(level.size());
-    for (std::size_t i = 0; i < level.size(); ++i) {
-      bool all_run = true;
-      bool any_ok = false;
-      std::size_t shard_failures = 0;
-      double weight_sum = 0.0;
-      double value_sum = 0.0;
-      for (std::size_t shard = 0; shard < num_shards; ++shard) {
-        const std::size_t t = i * num_shards + shard;
-        if (state[t] == kNotRun) {
-          all_run = false;
-          break;
-        }
-        if (state[t] == kOk) {
-          any_ok = true;
-          value_sum += weights[shard] * values[t];
-          weight_sum += weights[shard];
-        } else {
-          ++shard_failures;
-        }
-      }
-      if (!all_run) continue;
-      local_stats.failed_shard_evaluations += shard_failures;
-      if (!any_ok) {
-        ++local_stats.failed_contrast_evaluations;
-        continue;
-      }
-      completed.push_back({std::move(level[i]), value_sum / weight_sum});
-    }
-    local_stats.contrast_evaluations += completed.size();
-    if (!completed.empty()) {
-      local_stats.max_level_reached =
-          std::max(local_stats.max_level_reached, dims);
-    }
-    if (completed.size() > params.candidate_cutoff) {
-      ++local_stats.cutoff_applications;
-    }
-    KeepTopK(&completed, params.candidate_cutoff);
-
     std::vector<Subspace> survivors;
     survivors.reserve(completed.size());
     for (const ScoredSubspace& s : completed) survivors.push_back(s.subspace);

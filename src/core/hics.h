@@ -2,6 +2,8 @@
 #define HICS_CORE_HICS_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,7 +77,7 @@ struct HicsRunStats {
   /// the next lattice level. In a sharded search a subspace fails only when
   /// EVERY shard's estimate failed.
   std::size_t failed_contrast_evaluations = 0;
-  /// Sharded search only: shard-level contrast estimates that failed. A
+  /// Planes with S > 1 shards only: shard-level estimates that failed. A
   /// failed shard is absorbed by renormalizing the merge weights over the
   /// surviving shards (the subspace still gets a score unless all shards
   /// failed), so this counts degradation, not data loss.
@@ -122,52 +124,49 @@ Result<std::vector<ScoredSubspace>> RunHicsSearch(const Dataset& dataset,
                                                   HicsRunStats* stats =
                                                       nullptr);
 
-/// Prepared-path search: identical semantics and bit-identical output to
-/// the Dataset overloads, but the sorted-attribute index (and the other
-/// rank artifacts the contrast kernels consume) come from `prepared`
-/// instead of being rebuilt per call — so search, contrast matrix, and
-/// ranking over one dataset share a single O(D N log N) build. The
-/// Dataset overloads above are thin adapters that prepare privately.
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const PreparedDataset& prepared, const HicsParams& params,
-    HicsRunStats* stats = nullptr);
-
-/// Context-aware prepared-path search; see the RunContext overload above
-/// for the interruption/fault contract.
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const PreparedDataset& prepared, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats = nullptr);
-
-/// Sharded search (DESIGN.md §5i): each lattice-level contrast estimate
-/// fans out over the shards — shard s runs ShardIterations(M, S, s) Monte
-/// Carlo iterations on its own rows with its own RNG stream
-/// (ShardStreamSeed(seed, subspace, s)) — and the per-shard estimates are
-/// merged by a row-count-weighted average before the cutoff / candidate
-/// generation, which runs once on the merged scores. Total slice work per
-/// subspace drops to ~M*N/S rows, which is where the sharded speedup
-/// comes from.
+/// Search over a data plane (engine/shard_plane.h): the one lattice loop
+/// every plane runs, and the overload the Dataset adapters above delegate
+/// to. A PreparedDataset is the one-shard plane, so passing one reuses its
+/// sorted-attribute index (and the other rank artifacts the contrast
+/// kernels consume) instead of rebuilding them per call — search,
+/// contrast matrix, and ranking over one dataset share a single
+/// O(D N log N) build.
+///
+/// Estimator: on a one-shard plane every subspace draws its own stream
+/// seed ^ (hash * phi) for all M iterations and scores that single
+/// estimate — the unsharded estimator, so a PreparedDataset, a
+/// ShardedDataset(ds, 1) and a one-shard StreamingDataset over the same
+/// rows give byte-identical results. On S > 1 shards (DESIGN.md §5i) each
+/// estimate fans out: shard s runs ShardIterations(M, S, s) iterations on
+/// its own rows with stream ShardStreamSeed(seed, subspace, s), and the
+/// per-shard estimates are merged by a row-count-weighted average before
+/// the cutoff / candidate generation. Total slice work per subspace drops
+/// to ~M*N/S rows, which is where the sharded speedup comes from; it is
+/// intentionally a *different* estimator — expect agreement within Monte
+/// Carlo noise, not bit-equality, across shard counts.
 ///
 /// Determinism: for a fixed effective shard count the result is
 /// bit-identical across thread counts and shard completion orders (every
 /// (subspace, shard) stream is derived, never shared; the merge reduces
-/// in shard-ordinal order). It is intentionally a *different* estimator
-/// than the unsharded search — expect agreement within Monte Carlo noise,
-/// not bit-equality, between the two.
+/// in shard-ordinal order).
 ///
-/// Degradation: a failed shard estimate (fault site "shard.contrast",
-/// probed with ordinal shard+1, or "contrast.estimate" at the sharded
-/// ordinal (eval_ordinal-1)*S + shard + 1) is absorbed by renormalizing
-/// the merge weights over the surviving shards and counted in
-/// stats->failed_shard_evaluations; the subspace fails only when every
-/// shard failed. Interruption (deadline/cancel) keeps best-so-far like
-/// the unsharded overloads.
+/// Degradation: see the RunContext Dataset overload for the interruption
+/// contract (best-so-far on deadline/cancel). A failed estimate (fault
+/// site "contrast.estimate") on a one-shard plane skips the subspace and
+/// counts in stats->failed_contrast_evaluations. With S > 1 shards the
+/// "contrast.estimate" ordinal is shard-major ((eval_ordinal-1)*S +
+/// shard + 1) and "shard.contrast" is probed with ordinal shard+1; a
+/// failed shard estimate is absorbed by renormalizing the merge weights
+/// over the surviving shards and counted in
+/// stats->failed_shard_evaluations, and the subspace fails only when every
+/// shard failed.
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const ShardPlane& sharded, const HicsParams& params,
+    const ShardPlane& plane, const HicsParams& params,
     HicsRunStats* stats = nullptr);
 
-/// Context-aware sharded search; see above for the shard fault contract.
+/// Context-aware plane search; see above for the fault contract.
 Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const ShardPlane& sharded, const HicsParams& params,
+    const ShardPlane& plane, const HicsParams& params,
     const RunContext& ctx, HicsRunStats* stats = nullptr);
 
 /// Exposed lattice utilities (used internally and unit-tested directly).
@@ -188,6 +187,40 @@ std::vector<Subspace> GenerateCandidates(const std::vector<Subspace>& level);
 /// bucketed by dimensionality, so each subspace is only compared against
 /// the adjacent-size bucket instead of the whole pool.
 std::size_t PruneRedundant(std::vector<ScoredSubspace>* subspaces);
+
+/// Scores lattice levels on one data plane: the estimator RunHicsSearch
+/// runs per level and ComputeContrastMatrix runs on
+/// AllTwoDimensionalSubspaces, so matrix entries equal level-2 search
+/// scores by construction. Holds one ContrastEstimator per shard (shard s
+/// with ShardIterations(M, S, s) iterations) and applies the one-shard
+/// rule and the S > 1 merge documented at RunHicsSearch.
+class LevelEvaluator {
+ public:
+  /// Builds the per-shard estimators (forcing the shards' lazy rank
+  /// artifacts, in parallel across shards). `plane` and `test` must
+  /// outlive the evaluator.
+  LevelEvaluator(const ShardPlane& plane, const stats::TwoSampleTest& test,
+                 const ContrastParams& params, std::uint64_t seed,
+                 std::size_t num_threads);
+
+  /// Scores every subspace of `level` (in parallel when configured) and
+  /// appends the scored ones to `*scored` in level order. `eval_base` is
+  /// the number of subspaces evaluated before this level; subspace i's
+  /// fault ordinal is eval_base + i + 1. Failed estimates are isolated and
+  /// counted in `*stats` (failed_contrast_evaluations /
+  /// failed_shard_evaluations). Returns OK, or the interruption status
+  /// (cancel/deadline) that stopped the level early — the subspaces
+  /// completed before the stop are still appended.
+  Status Score(const std::vector<Subspace>& level, std::uint64_t eval_base,
+               const RunContext& ctx, std::vector<ScoredSubspace>* scored,
+               HicsRunStats* stats) const;
+
+ private:
+  std::uint64_t seed_;
+  std::size_t num_threads_;
+  std::vector<std::unique_ptr<ContrastEstimator>> estimators_;
+  std::vector<double> weights_;  // shard row counts
+};
 
 }  // namespace internal
 

@@ -468,6 +468,21 @@ std::pair<double, double> PreparedDataset::AttributeRange(
   return {attr_min_[attribute], attr_max_[attribute]};
 }
 
+const PreparedDataset& PreparedDataset::shard(std::size_t s) const {
+  HICS_CHECK_EQ(s, 0u);
+  return *this;
+}
+
+std::size_t PreparedDataset::shard_begin(std::size_t s) const {
+  HICS_CHECK_EQ(s, 0u);
+  return 0;
+}
+
+std::size_t PreparedDataset::shard_size(std::size_t s) const {
+  HICS_CHECK_EQ(s, 0u);
+  return num_objects();
+}
+
 const SortedAttributeIndex& PreparedDataset::sorted_index() const {
   EnsureRankArtifacts();
   return *index_;

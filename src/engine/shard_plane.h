@@ -5,18 +5,20 @@
 #include <utility>
 
 #include "common/dataset.h"
-#include "engine/prepared_dataset.h"
 
 namespace hics {
 
-/// Abstract row-partitioned data plane: what the sharded search
-/// (RunHicsSearch), the sharded contrast matrix, and sharded ranking
-/// actually consume. Two implementations exist — the static
-/// ShardedDataset (DESIGN.md §5i) and the sliding-window
-/// StreamingDataset (§5j) — and because both feed the *same* fan-out /
-/// merge code through this interface, a streaming window and a cold
-/// ShardedDataset over identical rows produce byte-identical results by
-/// construction rather than by parallel maintenance of two code paths.
+class PreparedDataset;  // engine/prepared_dataset.h
+
+/// Abstract row-partitioned data plane: what the subspace search
+/// (RunHicsSearch), the contrast matrix, and sharded ranking actually
+/// consume. Three implementations exist — PreparedDataset (the one-shard
+/// plane, DESIGN.md §5e), the static ShardedDataset (§5i) and the
+/// sliding-window StreamingDataset (§5j) — and because all of them feed
+/// the *same* lattice loop and merge code through this interface, two
+/// planes over identical rows with the same effective shard count produce
+/// byte-identical results by construction rather than by parallel
+/// maintenance of several code paths.
 ///
 /// Contract (what the consumers rely on):
 ///  - shard s covers the contiguous full-dataset rows
@@ -25,9 +27,15 @@ namespace hics {
 ///    per-shard results in shard order restores object-id order;
 ///  - num_shards() >= 1, and every shard holds >= 2 rows (the contrast
 ///    estimator's two-sample floor) — implementations clamp to N/2;
-///  - shard(s) is the shard's prepared artifact over an owned row copy;
-///    its lazily built rank artifacts and cache entries depend only on
-///    the shard's row *contents*, never on the shard's ordinal;
+///  - shard(s) is the shard's prepared artifact; its lazily built rank
+///    artifacts and cache entries depend only on the shard's row
+///    *contents*, never on the shard's ordinal. With several shards each
+///    is an owned row copy; a one-shard plane may return a whole-dataset
+///    artifact, and a PreparedDataset returns itself;
+///  - a one-shard plane runs the unsharded estimator: every subspace
+///    draws the per-subspace stream seed ^ (hash * phi) with all M
+///    iterations, and its score is that single estimate (no shard-level
+///    fault site, no shard accounting);
 ///  - GlobalAttributeRange returns the (min, max) over the FULL dataset
 ///    (the range every per-shard SubspaceGrid bins against so cell keys
 ///    merge exactly), with the (0, 0) all-NaN/empty sentinel.
@@ -41,7 +49,7 @@ class ShardPlane {
   /// The full (unpartitioned) dataset the plane is a view of.
   virtual const Dataset& dataset() const = 0;
 
-  /// Shard `s`'s prepared artifact (its dataset is the owned row copy).
+  /// Shard `s`'s prepared artifact.
   virtual const PreparedDataset& shard(std::size_t s) const = 0;
 
   /// First full-dataset row of shard `s`.

@@ -19,10 +19,10 @@ namespace hics {
 /// splitmix-advanced by the shard ordinal. Every shard therefore draws
 /// from its own deterministic stream — results depend only on (seed,
 /// subspace, shard ordinal), never on which thread ran the shard or in
-/// which order shards completed. Shard 0 of a 1-shard run is its own
-/// stream, distinct from the unsharded stream on purpose: the sharded
-/// estimator is a different (ensemble-averaged) estimator and must not
-/// masquerade as bit-equal to the unsharded one.
+/// which order shards completed. Only planes with S > 1 shards use it: a
+/// one-shard plane is the unsharded estimator and draws the per-subspace
+/// stream itself (see RunHicsSearch), so it is byte-identical to the
+/// prepared path.
 std::uint64_t ShardStreamSeed(std::uint64_t seed, std::uint64_t subspace_hash,
                               std::size_t shard);
 

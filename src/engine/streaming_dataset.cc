@@ -365,6 +365,11 @@ void StreamingDataset::ReconcileSlots() {
 
 const PreparedDataset& StreamingDataset::shard(std::size_t s) const {
   HICS_CHECK(s < slots_.size());
+  // A one-shard window's shard is the whole window: hand out the
+  // incrementally maintained window artifact (adopted sorted orders, warm
+  // window cache) rather than the slot's cold row copy. Same rows, so the
+  // same bits either way.
+  if (slots_.size() == 1) return *window_prepared_;
   return *slots_[s]->prepared;
 }
 

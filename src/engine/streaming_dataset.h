@@ -70,8 +70,9 @@ struct StreamingOptions {
 /// window (a fresh PreparedDataset when the plane is unsharded, a fresh
 /// ShardedDataset at the same shard count otherwise), at every thread
 /// count. The plane guarantees this by construction: the partition rule,
-/// per-shard RNG streams (keyed by shard ordinal), and merge order are
-/// shared with ShardedDataset through the ShardPlane interface, and every
+/// the one-shard rule, per-shard RNG streams (keyed by shard ordinal), and
+/// merge order are shared with PreparedDataset and ShardedDataset through
+/// the ShardPlane interface's one lattice loop, and every
 /// incrementally maintained artifact reproduces its cold counterpart
 /// bit-for-bit (tests/streaming_dataset_test.cc asserts it; CI gates on
 /// `streaming_identical`).
@@ -129,9 +130,10 @@ class StreamingDataset : public ShardPlane {
   /// orders are adopted, not re-sorted) on every mutation.
   const PreparedDataset& prepared() const { return *window_prepared_; }
 
-  // --- ShardPlane view (the sharded search/ranking substrate) ---
+  // --- ShardPlane view (the search/ranking substrate) ---
   std::size_t num_shards() const override { return slots_.size(); }
   const Dataset& dataset() const override { return window_; }
+  /// Shard `s`'s prepared artifact; for a one-shard window, prepared().
   const PreparedDataset& shard(std::size_t s) const override;
   std::size_t shard_begin(std::size_t s) const override;
   std::size_t shard_size(std::size_t s) const override;

@@ -2,26 +2,6 @@
 
 namespace hics {
 
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const StreamingDataset& streaming, const HicsParams& params,
-    HicsRunStats* stats) {
-  if (streaming.num_shards() == 1) {
-    return RunHicsSearch(streaming.prepared(), params, stats);
-  }
-  return RunHicsSearch(static_cast<const ShardPlane&>(streaming), params,
-                       stats);
-}
-
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const StreamingDataset& streaming, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats) {
-  if (streaming.num_shards() == 1) {
-    return RunHicsSearch(streaming.prepared(), params, ctx, stats);
-  }
-  return RunHicsSearch(static_cast<const ShardPlane&>(streaming), params, ctx,
-                       stats);
-}
-
 Result<std::vector<double>> RankWithSubspaces(
     const StreamingDataset& streaming, const std::vector<Subspace>& subspaces,
     const OutlierScorer& scorer, ScoreAggregation aggregation,

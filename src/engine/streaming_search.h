@@ -7,38 +7,25 @@
 #include "common/run_context.h"
 #include "common/status.h"
 #include "common/subspace.h"
-#include "core/hics.h"
+#include "core/hics.h"  // RunHicsSearch takes a StreamingDataset as a plane
 #include "engine/streaming_dataset.h"
 #include "outlier/subspace_ranker.h"
 
 namespace hics {
 
-/// Streaming overloads of the search and ranking entry points: the same
-/// algorithms, reading the current window of a StreamingDataset through
-/// whichever substrate matches its shard count. Output is byte-identical
-/// to a cold rebuild of the identical window — a fresh PreparedDataset
-/// when the plane is unsharded (num_shards() == 1), a fresh
-/// ShardedDataset at the same shard count otherwise — at every thread
-/// count; tests/streaming_dataset_test.cc and bench_streaming assert it
-/// after every slide (`streaming_identical` in CI).
+/// Streaming ranking entry points. Search and contrast matrix need no
+/// streaming overload: a StreamingDataset is a ShardPlane, so
+/// RunHicsSearch / ComputeContrastMatrix take it directly and run the one
+/// lattice loop — a one-shard window through the unsharded estimator over
+/// its whole-window prepared artifact (shard(0) is prepared(), so the
+/// incremental sorted orders and the warm window cache serve the search),
+/// a multi-shard window through the same fan-out, RNG streams and merge
+/// order as ShardedDataset. Output is byte-identical to a cold rebuild of
+/// the identical window — a fresh PreparedDataset when num_shards() == 1,
+/// a fresh ShardedDataset at the same shard count otherwise — at every
+/// thread count; tests/streaming_dataset_test.cc and bench_streaming
+/// assert it after every slide (`streaming_identical` in CI).
 ///
-/// Routing rationale: a one-shard plane runs the *unsharded* estimator
-/// over the whole-window prepared artifact (so single-stream deployments
-/// keep the canonical estimator and its warm window cache), while a
-/// multi-shard plane runs the sharded estimator through the ShardPlane
-/// interface — identical code path, RNG streams, and merge order as
-/// ShardedDataset, which is what makes cold/streaming byte-equality hold
-/// by construction rather than by re-verification.
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const StreamingDataset& streaming, const HicsParams& params,
-    HicsRunStats* stats = nullptr);
-
-/// Context-aware variant; the RunContext carries the same interruption
-/// and fault-injection contract as the prepared/sharded overloads.
-Result<std::vector<ScoredSubspace>> RunHicsSearch(
-    const StreamingDataset& streaming, const HicsParams& params,
-    const RunContext& ctx, HicsRunStats* stats = nullptr);
-
 /// Streaming ranking over the current window. One-shard planes rank
 /// through the prepared path (exact for every scorer, cache-warm across
 /// slides); multi-shard planes rank through RankWithSubspacesSharded

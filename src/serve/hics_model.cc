@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -110,23 +111,23 @@ Result<HicsModel> HicsModel::Fit(const Dataset& dataset,
   const std::size_t threads = config.search_params.num_threads;
   PreparedDataset prepared(dataset, threads);
 
-  // Step 1: subspace search. Unsharded fits make the same prepared-path
-  // call the pipeline makes, so the selected subspaces are identical to
-  // RunHicsPipeline's. Sharded fits select through the sharded search —
+  // Step 1: subspace search, one call on the fit's data plane. Unsharded
+  // fits search the prepared dataset itself (the one-shard plane), the
+  // same call the pipeline makes, so the selected subspaces are identical
+  // to RunHicsPipeline's. Sharded fits select through a ShardedDataset —
   // the fast path on large N — and only the selection differs: steps 2
   // and 3 below always run on the full prepared dataset, so training
-  // scores, trained state, and serving stay byte-reproducible.
-  HicsRunStats stats;
+  // scores, trained state, and serving stay byte-reproducible. The shard
+  // copies are released as soon as the search returns.
   std::vector<ScoredSubspace> scored;
-  if (config.num_shards > 1) {
-    const ShardedDataset sharded(dataset, config.num_shards, threads);
-    HICS_ASSIGN_OR_RETURN(scored,
-                          RunHicsSearch(sharded, config.search_params,
-                                        &stats));
-  } else {
-    HICS_ASSIGN_OR_RETURN(scored,
-                          RunHicsSearch(prepared, config.search_params,
-                                        &stats));
+  {
+    std::optional<ShardedDataset> sharded;
+    if (config.num_shards > 1) {
+      sharded.emplace(dataset, config.num_shards, threads);
+    }
+    const ShardPlane& plane =
+        sharded ? static_cast<const ShardPlane&>(*sharded) : prepared;
+    HICS_ASSIGN_OR_RETURN(scored, RunHicsSearch(plane, config.search_params));
   }
 
   std::vector<TrainedSubspace> trained;

@@ -5,15 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <vector>
 
 #include "common/run_context.h"
+#include "core/contrast_matrix.h"
 #include "core/hics.h"
 #include "core/pipeline.h"
 #include "data/synthetic.h"
+#include "engine/prepared_dataset.h"
+#include "engine/sharded_dataset.h"
 #include "eval/rank_correlation.h"
 #include "outlier/lof.h"
 
@@ -196,6 +200,90 @@ TEST(FaultInjectionSearchTest, ContrastFaultsSkipSubspacesNotTheSearch) {
   const auto pipeline = RunHicsPipeline(data, params, lof, ctx);
   ASSERT_TRUE(pipeline.ok());
   EXPECT_EQ(pipeline->diagnostics.error_tally.at("contrast.estimate"), 1u);
+}
+
+TEST(FaultInjectionSearchTest, OneShardPlaneFaultsCountPerSubspace) {
+  // A PreparedDataset is the one-shard plane. A failed estimate skips its
+  // subspace and counts only as a failed contrast evaluation: one shard
+  // has no shard-level failures and no "shard.contrast" site. A
+  // ShardedDataset(ds, 1) degrades byte-identically.
+  const Dataset data = MakeData(200, 8, 45);
+  const PreparedDataset prepared(data);
+  const ShardedDataset one_shard(data, 1);
+  ASSERT_EQ(one_shard.num_shards(), 1u);
+  const std::vector<Subspace> pairs = internal::AllTwoDimensionalSubspaces(8);
+
+  std::vector<ScoredSubspace> reference;
+  for (const ShardPlane* plane :
+       {static_cast<const ShardPlane*>(&prepared),
+        static_cast<const ShardPlane*>(&one_shard)}) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      HicsParams params = FastParams();
+      params.num_threads = threads;
+      FaultInjector injector;
+      injector.FailNthCall("contrast.estimate", 3,
+                           Status::Internal("injected contrast fault"));
+      injector.FailNthCall("contrast.estimate", 9,
+                           Status::Internal("injected contrast fault"));
+      injector.FailNthCall("shard.contrast", 1, Status::Internal("unused"));
+      RunContext ctx;
+      ctx.SetFaultInjector(&injector);
+
+      HicsRunStats stats;
+      const auto result = RunHicsSearch(*plane, params, ctx, &stats);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(stats.failed_contrast_evaluations, 2u);
+      EXPECT_EQ(stats.failed_shard_evaluations, 0u);
+      EXPECT_EQ(injector.CallCount("shard.contrast"), 0u);
+      EXPECT_FALSE(stats.interrupted());
+      for (const ScoredSubspace& s : *result) {
+        EXPECT_NE(s.subspace, pairs[2]);  // ordinal 3
+        EXPECT_NE(s.subspace, pairs[8]);  // ordinal 9
+      }
+      if (reference.empty()) reference = *result;
+      ASSERT_EQ(result->size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_EQ((*result)[i].subspace, reference[i].subspace);
+        EXPECT_EQ((*result)[i].score, reference[i].score);
+      }
+    }
+  }
+}
+
+TEST(FaultInjectionSearchTest, OneShardPlaneInterruptionKeepsBestSoFar) {
+  // An interruption status at ordinal 5 stops level 2 after its first four
+  // subspaces (serial, so the stop point is exact). Those four are kept
+  // as best-so-far results, scored exactly as the contrast matrix scores
+  // them.
+  const Dataset data = MakeData(200, 8, 52);
+  const PreparedDataset prepared(data);
+  HicsParams params = FastParams();
+  params.num_threads = 1;
+  ContrastMatrixParams matrix_params;
+  matrix_params.contrast = {params.num_iterations, params.alpha};
+  matrix_params.seed = params.seed;
+  const auto matrix = ComputeContrastMatrix(prepared, matrix_params);
+  ASSERT_TRUE(matrix.ok());
+
+  FaultInjector injector;
+  injector.FailNthCall("contrast.estimate", 5, Status::Cancelled("stop"));
+  RunContext ctx;
+  ctx.SetFaultInjector(&injector);
+  HicsRunStats stats;
+  const auto result = RunHicsSearch(prepared, params, ctx, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(stats.cancelled);
+  EXPECT_EQ(stats.levels_processed, 1u);
+  EXPECT_EQ(stats.contrast_evaluations, 4u);
+  EXPECT_EQ(stats.failed_contrast_evaluations, 0u);
+  EXPECT_EQ(stats.failed_shard_evaluations, 0u);
+  const std::vector<Subspace> pairs = internal::AllTwoDimensionalSubspaces(8);
+  ASSERT_EQ(result->size(), 4u);
+  for (const ScoredSubspace& s : *result) {
+    EXPECT_NE(std::find(pairs.begin(), pairs.begin() + 4, s.subspace),
+              pairs.begin() + 4);
+    EXPECT_EQ(s.score, (*matrix)(s.subspace[0], s.subspace[1]));
+  }
 }
 
 TEST(FaultInjectionSearchTest, WholeSearchFaultSurfaces) {

@@ -12,6 +12,7 @@
 #include "cluster/grid.h"
 #include "common/random.h"
 #include "common/run_context.h"
+#include "core/contrast_matrix.h"
 #include "core/hics.h"
 #include "engine/prepared_dataset.h"
 #include "engine/sharded_dataset.h"
@@ -219,7 +220,9 @@ TEST(StreamingWindowTest, PartitionFollowsTheCanonicalShardedRule) {
 // sequence of slides, searching and ranking the plane is byte-identical
 // to a cold rebuild over the identical window — PreparedDataset when
 // unsharded, ShardedDataset at the same shard count otherwise — at every
-// thread count.
+// thread count. Unsharded windows also pin the one-shard rule: the
+// window's contrast matrix and a ShardedDataset(window, 1) equal the
+// cold prepared path too.
 
 class StreamingIdentityTest
     : public ::testing::TestWithParam<std::size_t> {};
@@ -270,6 +273,29 @@ TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
         const auto cold_search = RunHicsSearch(cold, params);
         ASSERT_TRUE(cold_search.ok());
         ExpectSameScored(*streamed_search, *cold_search);
+        // Every one-shard plane runs the prepared path's estimator, in the
+        // search and in the contrast matrix.
+        const ShardedDataset one_shard(cold_ds, 1);
+        const auto one_shard_search = RunHicsSearch(one_shard, params);
+        ASSERT_TRUE(one_shard_search.ok());
+        ExpectSameScored(*one_shard_search, *cold_search);
+        ContrastMatrixParams matrix_params;
+        matrix_params.contrast.num_iterations = params.num_iterations;
+        matrix_params.num_threads = threads;
+        const auto cold_matrix = ComputeContrastMatrix(cold, matrix_params);
+        ASSERT_TRUE(cold_matrix.ok());
+        for (const ShardPlane* plane :
+             {static_cast<const ShardPlane*>(&streaming),
+              static_cast<const ShardPlane*>(&one_shard)}) {
+          const auto matrix = ComputeContrastMatrix(*plane, matrix_params);
+          ASSERT_TRUE(matrix.ok());
+          for (std::size_t i = 0; i < d; ++i) {
+            for (std::size_t j = 0; j < d; ++j) {
+              EXPECT_EQ((*matrix)(i, j), (*cold_matrix)(i, j))
+                  << "(" << i << "," << j << ")";
+            }
+          }
+        }
         EXPECT_EQ(*streamed_rank,
                   RankWithSubspaces(cold, *cold_search, grid_scorer,
                                     ScoreAggregation::kAverage, threads));
