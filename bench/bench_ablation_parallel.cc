@@ -104,9 +104,12 @@ int main() {
   std::vector<Sample> rank_samples;
   for (std::size_t threads : kThreadCounts) {
     hics::Timer timer;
-    const auto scores =
-        hics::RankWithSubspaces(data, reference, ranking_lof,
-                                hics::ScoreAggregation::kAverage, threads);
+    // A fresh prepared artifact per thread count, so no run reads
+    // another's cached score vectors.
+    const hics::PreparedDataset prepared(data);
+    const auto scores = hics::RankWithSubspaces(
+        prepared, hics::SubspacesOf(reference), ranking_lof,
+        hics::ScoreAggregation::kAverage, threads);
     Sample sample{threads, timer.ElapsedSeconds(), true};
     if (threads == 1) rank_reference = scores;
     sample.identical = scores == rank_reference;

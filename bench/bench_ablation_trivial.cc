@@ -74,7 +74,8 @@ int main() {
     params.output_top_k = 10;  // concise selection, as the paper enforces
     const hics::LofScorer lof({kLofMinPts});
     auto pipeline =
-        Unwrap(hics::RunHicsPipeline(data, params, lof), "pipeline");
+        Unwrap(hics::RunHicsPipeline(hics::PreparedDataset(data), params, lof),
+               "pipeline");
 
     const hics::UnivariateScorer univariate;
     const auto trivial = univariate.ScoreFullSpace(data);

@@ -368,17 +368,27 @@ void WritePipelineStageReport() {
                                  .use_batch_knn = false});
   const std::size_t parallel_threads = std::max<std::size_t>(
       4, DefaultNumThreads());
+  // Each stage ranks on its own fresh prepared artifact. The kNN-table
+  // and score caches are keyed without use_batch_knn, so a shared
+  // artifact would hand the later stages the first stage's vectors and
+  // ranking_identical would compare a vector with itself.
+  const std::vector<Subspace> ranked_subspaces = SubspacesOf(*subspaces);
+  const PreparedDataset per_query_prepared(data);
   Timer per_query_timer;
-  const auto per_query_scores = RankWithSubspaces(
-      data, *subspaces, lof_per_query, ScoreAggregation::kAverage, 1);
+  const auto per_query_scores =
+      RankWithSubspaces(per_query_prepared, ranked_subspaces, lof_per_query,
+                        ScoreAggregation::kAverage, 1);
   const double rank_per_query_seconds = per_query_timer.ElapsedSeconds();
+  const PreparedDataset serial_prepared(data);
   Timer serial_timer;
   const auto serial_scores = RankWithSubspaces(
-      data, *subspaces, lof, ScoreAggregation::kAverage, 1);
+      serial_prepared, ranked_subspaces, lof, ScoreAggregation::kAverage, 1);
   const double rank_serial_seconds = serial_timer.ElapsedSeconds();
+  const PreparedDataset parallel_prepared(data);
   Timer parallel_timer;
-  const auto parallel_scores = RankWithSubspaces(
-      data, *subspaces, lof, ScoreAggregation::kAverage, parallel_threads);
+  const auto parallel_scores =
+      RankWithSubspaces(parallel_prepared, ranked_subspaces, lof,
+                        ScoreAggregation::kAverage, parallel_threads);
   const double rank_parallel_seconds = parallel_timer.ElapsedSeconds();
   const bool identical = serial_scores == per_query_scores &&
                          parallel_scores == serial_scores;
@@ -389,12 +399,12 @@ void WritePipelineStageReport() {
   const PreparedDataset prepared(data);
   Timer cold_timer;
   const auto cold_scores = RankWithSubspaces(
-      prepared, *subspaces, lof, ScoreAggregation::kAverage,
+      prepared, ranked_subspaces, lof, ScoreAggregation::kAverage,
       parallel_threads);
   const double rank_cold_seconds = cold_timer.ElapsedSeconds();
   Timer warm_timer;
   const auto warm_scores = RankWithSubspaces(
-      prepared, *subspaces, lof, ScoreAggregation::kAverage,
+      prepared, ranked_subspaces, lof, ScoreAggregation::kAverage,
       parallel_threads);
   const double rank_warm_seconds = warm_timer.ElapsedSeconds();
   const bool warm_identical =

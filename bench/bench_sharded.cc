@@ -112,8 +112,7 @@ int Run() {
   // for byte with the prepared path.
   const auto scored = RunHicsSearch(prepared, search);
   HICS_CHECK(scored.ok());
-  std::vector<Subspace> subspaces;
-  for (const auto& s : *scored) subspaces.push_back(s.subspace);
+  const std::vector<Subspace> subspaces = SubspacesOf(*scored);
   const GridDensityScorer grid(
       {.bins_per_dim = 32, .smooth = true, .num_threads = 4});
   const std::vector<double> reference = RankWithSubspaces(
@@ -124,7 +123,7 @@ int Run() {
   for (std::size_t shards : kShardCounts) {
     const ShardedDataset sharded(ds, shards, /*build_threads=*/4);
     const auto ranked = RankWithSubspacesSharded(
-        sharded, subspaces, grid, ScoreAggregation::kAverage,
+        sharded, *scored, grid, ScoreAggregation::kAverage,
         ShardedScoringPolicy::kRequireExactMerge, 4);
     HICS_CHECK(ranked.ok());
     const bool identical = *ranked == reference;

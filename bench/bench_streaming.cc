@@ -31,7 +31,6 @@
 #include "engine/prepared_dataset.h"
 #include "engine/sharded_dataset.h"
 #include "engine/streaming_dataset.h"
-#include "engine/streaming_search.h"
 #include "outlier/grid_density.h"
 #include "outlier/subspace_ranker.h"
 

@@ -101,7 +101,8 @@ int main() {
   params.output_top_k = 10;
   params.num_iterations = 100;
   const hics::LofScorer lof({/*min_pts=*/15});
-  auto pipeline = hics::RunHicsPipeline(data, params, lof);
+  auto pipeline =
+      hics::RunHicsPipeline(hics::PreparedDataset(data), params, lof);
   if (!pipeline.ok()) {
     std::fprintf(stderr, "pipeline failed: %s\n",
                  pipeline.status().ToString().c_str());

@@ -201,8 +201,9 @@ int RunSelfTest(const std::string& tmpdir) {
   SELFTEST_CHECK(model.ok(), "model fits");
   auto scorer = hics::MakeScorer(config.scorer);
   SELFTEST_CHECK(scorer.ok(), "scorer spec is valid");
-  auto pipeline = hics::RunHicsPipeline(dataset, config.search_params,
-                                        **scorer, config.aggregation);
+  auto pipeline = hics::RunHicsPipeline(hics::PreparedDataset(dataset),
+                                        config.search_params, **scorer,
+                                        config.aggregation);
   SELFTEST_CHECK(pipeline.ok(), "reference pipeline runs");
   SELFTEST_CHECK(model->training_scores() == pipeline->scores,
                  "fitted training scores are byte-identical to the pipeline");
@@ -287,7 +288,7 @@ int RunSelfTest(const std::string& tmpdir) {
   auto grid_scorer = hics::MakeScorer(grid_config.scorer);
   SELFTEST_CHECK(grid_scorer.ok(), "grid-density scorer spec is valid");
   auto grid_pipeline = hics::RunHicsPipeline(
-      dataset, grid_config.search_params, **grid_scorer,
+      hics::PreparedDataset(dataset), grid_config.search_params, **grid_scorer,
       grid_config.aggregation);
   SELFTEST_CHECK(grid_pipeline.ok(), "grid-density reference pipeline runs");
   SELFTEST_CHECK(grid_model->training_scores() == grid_pipeline->scores,

@@ -78,6 +78,13 @@ std::size_t SubspaceHash::operator()(const Subspace& s) const {
   return h;
 }
 
+std::vector<Subspace> SubspacesOf(const std::vector<ScoredSubspace>& scored) {
+  std::vector<Subspace> out;
+  out.reserve(scored.size());
+  for (const ScoredSubspace& s : scored) out.push_back(s.subspace);
+  return out;
+}
+
 void SortByScoreDescending(std::vector<ScoredSubspace>* subspaces) {
   HICS_CHECK(subspaces != nullptr);
   std::sort(subspaces->begin(), subspaces->end(),

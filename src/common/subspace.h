@@ -82,6 +82,10 @@ struct ScoredSubspace {
   double score = 0.0;
 };
 
+/// The projections of `scored`, in order (scores dropped) — what the
+/// ranking layer consumes.
+std::vector<Subspace> SubspacesOf(const std::vector<ScoredSubspace>& scored);
+
 /// Sorts scored subspaces by descending score (ties: lexicographic subspace
 /// order, so results are deterministic).
 void SortByScoreDescending(std::vector<ScoredSubspace>* subspaces);

@@ -4,29 +4,7 @@
 #include <numeric>
 #include <utility>
 
-#include "common/parallel.h"
-
 namespace hics {
-
-Result<PipelineResult> RunHicsPipeline(const Dataset& dataset,
-                                       const HicsParams& params,
-                                       const OutlierScorer& scorer,
-                                       ScoreAggregation aggregation) {
-  return RunHicsPipeline(dataset, params, scorer, RunContext(), aggregation);
-}
-
-Result<PipelineResult> RunHicsPipeline(const Dataset& dataset,
-                                       const HicsParams& params,
-                                       const OutlierScorer& scorer,
-                                       const RunContext& ctx,
-                                       ScoreAggregation aggregation) {
-  // Thin adapter: one private PreparedDataset already pays off within a
-  // single run — search and ranking share the sorted-index build.
-  const std::size_t build_threads =
-      params.num_threads == 0 ? DefaultNumThreads() : params.num_threads;
-  const PreparedDataset prepared(dataset, build_threads);
-  return RunHicsPipeline(prepared, params, scorer, ctx, aggregation);
-}
 
 Result<PipelineResult> RunHicsPipeline(const PreparedDataset& prepared,
                                        const HicsParams& params,
@@ -53,15 +31,14 @@ Result<PipelineResult> RunHicsPipeline(const PreparedDataset& prepared,
         result.search_stats.failed_contrast_evaluations;
   }
 
-  std::vector<Subspace> plain;
-  plain.reserve(result.subspaces.size());
-  for (const ScoredSubspace& s : result.subspaces) {
-    plain.push_back(s.subspace);
-  }
-  diag.requested_subspaces = plain.size();
+  diag.requested_subspaces = result.subspaces.size();
 
-  DegradedRankingResult ranked = RankWithSubspacesDegraded(
-      prepared, plain, scorer, aggregation, ctx, params.num_threads);
+  // A PreparedDataset is a one-shard plane, so the policy never refuses.
+  HICS_ASSIGN_OR_RETURN(
+      DegradedRankingResult ranked,
+      RankWithSubspaces(prepared, SubspacesOf(result.subspaces), scorer,
+                        aggregation, ShardedScoringPolicy::kRequireExactMerge,
+                        ctx, params.num_threads));
   diag.scored_subspaces = ranked.succeeded;
   diag.skipped_subspaces = ranked.failures.size();
   diag.deadline_exceeded |= ranked.deadline_exceeded;
@@ -81,7 +58,7 @@ Result<PipelineResult> RunHicsPipeline(const PreparedDataset& prepared,
   // (degenerate data, the historical full-space path) or every member of
   // the ensemble failed. Fall back to scoring the full space; surface an
   // error only when that fails too.
-  Result<std::vector<double>> full = scorer.ScoreSubspacePreparedChecked(
+  Result<std::vector<double>> full = scorer.ScoreSubspaceChecked(
       prepared, prepared.dataset().FullSpace(), ctx);
   if (full.ok()) {
     diag.used_fullspace_fallback = true;

@@ -61,14 +61,20 @@ struct PipelineResult {
   PipelineDiagnostics diagnostics;
 };
 
-/// Runs the complete decoupled pipeline from the paper:
-/// (1) HiCS subspace search, (2) density-based outlier ranking with
-/// `scorer` in each selected subspace, averaged (or maxed) per object.
+/// Runs the complete decoupled pipeline from the paper on a prepared
+/// dataset: (1) HiCS subspace search, (2) density-based outlier ranking
+/// with `scorer` in each selected subspace, averaged (or maxed) per
+/// object. Search and ranking share `prepared`'s sorted index and
+/// artifact cache end-to-end — one rank-artifact build per dataset, and
+/// repeated runs (the serving pattern) reuse cached searchers, kNN
+/// tables, and score vectors, byte-identically for every cache state.
+/// Callers holding a plain Dataset wrap it: PreparedDataset(dataset,
+/// threads).
 ///
 /// If the search returns no subspace (degenerate data), the scorer runs on
 /// the full space so the pipeline always produces a ranking.
 Result<PipelineResult> RunHicsPipeline(
-    const Dataset& dataset, const HicsParams& params,
+    const PreparedDataset& prepared, const HicsParams& params,
     const OutlierScorer& scorer,
     ScoreAggregation aggregation = ScoreAggregation::kAverage);
 
@@ -83,23 +89,6 @@ Result<PipelineResult> RunHicsPipeline(
 ///  - only when *every* subspace fails does the pipeline fall back to
 ///    full-space scoring; an error surfaces only when that fallback fails
 ///    too (or the search itself cannot run at all).
-Result<PipelineResult> RunHicsPipeline(
-    const Dataset& dataset, const HicsParams& params,
-    const OutlierScorer& scorer, const RunContext& ctx,
-    ScoreAggregation aggregation = ScoreAggregation::kAverage);
-
-/// Prepared-path pipeline: search and ranking share `prepared`'s sorted
-/// index and artifact cache end-to-end — one rank-artifact build per
-/// dataset, and repeated runs (the serving pattern) reuse cached
-/// searchers, kNN tables, and score vectors. Bit-identical to the Dataset
-/// overloads for every cache state; the Dataset overloads are thin
-/// adapters that prepare privately.
-Result<PipelineResult> RunHicsPipeline(
-    const PreparedDataset& prepared, const HicsParams& params,
-    const OutlierScorer& scorer,
-    ScoreAggregation aggregation = ScoreAggregation::kAverage);
-
-/// Context-aware prepared-path pipeline; degradation contract as above.
 Result<PipelineResult> RunHicsPipeline(
     const PreparedDataset& prepared, const HicsParams& params,
     const OutlierScorer& scorer, const RunContext& ctx,

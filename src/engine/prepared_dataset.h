@@ -94,7 +94,7 @@ struct ArtifactCacheStats {
 /// key may both build — the first insert wins and both callers observe
 /// the same canonical entry (identical bits either way). A failed or
 /// partial computation must never be inserted; see
-/// OutlierScorer::ScoreSubspacePreparedChecked for the enforcement on
+/// OutlierScorer::ScoreSubspaceChecked for the enforcement on
 /// the scoring path. AdvanceEpoch and RebindDataset are NOT safe against
 /// concurrent lookups — the owner (StreamingDataset) must quiesce
 /// queries across a window mutation, which it documents as its own

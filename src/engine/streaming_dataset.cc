@@ -17,7 +17,9 @@ namespace hics {
 /// and its artifact cache, tagged by the stream serial of its first row.
 /// Content identity is (start_serial, length) — serials never repeat, so
 /// two slots with equal tags hold byte-identical rows and a surviving
-/// slot's artifacts stay valid without any row comparison.
+/// slot's artifacts stay valid without any row comparison. A one-shard
+/// window's shard is the window artifact itself, so its slot keeps only
+/// the partition bookkeeping (no copy, artifact, or cache).
 struct StreamingDataset::Slot {
   std::uint64_t start_serial = 0;
   std::size_t length = 0;
@@ -25,6 +27,13 @@ struct StreamingDataset::Slot {
   std::shared_ptr<ArtifactCache> cache;
   std::unique_ptr<PreparedDataset> prepared;
   std::uint64_t content_epoch = 0;
+
+  /// Whether this slot can stand, as is, in a partition of `num_slots`
+  /// slots: any slot can be the bookkeeping of a one-shard window, but a
+  /// multi-shard window needs the slot's own artifact.
+  bool ReusableIn(std::size_t num_slots) const {
+    return num_slots == 1 || prepared != nullptr;
+  }
 };
 
 namespace {
@@ -135,12 +144,14 @@ Status StreamingDataset::PreflightMutation(
     // partition, run before a single byte moves, so a failed shard
     // rebuild degrades (the old window keeps serving) instead of
     // poisoning a half-mutated plane.
-    std::map<std::pair<std::uint64_t, std::size_t>, bool> current;
-    for (const auto& slot : slots_) {
-      current[{slot->start_serial, slot->length}] = true;
-    }
     const std::vector<std::pair<std::uint64_t, std::size_t>> desired =
         PartitionFor(head_serial_ + evict, new_n, options_.num_shards);
+    std::map<std::pair<std::uint64_t, std::size_t>, bool> current;
+    for (const auto& slot : slots_) {
+      if (slot->ReusableIn(desired.size())) {
+        current[{slot->start_serial, slot->length}] = true;
+      }
+    }
     for (std::size_t s = 0; s < desired.size(); ++s) {
       if (current.count(desired[s]) != 0) continue;
       Status shard = ctx->InjectFault("stream.slide.shard", s + 1);
@@ -290,7 +301,8 @@ void StreamingDataset::ReconcileSlots() {
   std::vector<std::size_t> rebuild;
   for (std::size_t s = 0; s < desired.size(); ++s) {
     auto it = pool.find(desired[s]);
-    if (it != pool.end() && it->second != nullptr) {
+    if (it != pool.end() && it->second != nullptr &&
+        it->second->ReusableIn(desired.size())) {
       slots_[s] = std::move(it->second);
       pool.erase(it);
     } else {
@@ -319,6 +331,15 @@ void StreamingDataset::ReconcileSlots() {
     slot->content_epoch = epoch_;
     if (r < recycled.size()) slot->cache = std::move(recycled[r]);
     slots_[s] = std::move(slot);
+  }
+  if (desired.size() == 1) {
+    // shard(0) hands out the window artifact; the slot keeps bookkeeping
+    // only (a reused multi-shard slot drops its artifacts here).
+    Slot& only = *slots_.front();
+    only.prepared.reset();
+    only.cache.reset();
+    only.data.reset();
+    return;
   }
 
   // Row copies are independent; build them in parallel like
@@ -367,8 +388,7 @@ const PreparedDataset& StreamingDataset::shard(std::size_t s) const {
   HICS_CHECK(s < slots_.size());
   // A one-shard window's shard is the whole window: hand out the
   // incrementally maintained window artifact (adopted sorted orders, warm
-  // window cache) rather than the slot's cold row copy. Same rows, so the
-  // same bits either way.
+  // window cache); the slot holds no copy of its own.
   if (slots_.size() == 1) return *window_prepared_;
   return *slots_[s]->prepared;
 }
@@ -396,7 +416,10 @@ std::uint64_t StreamingDataset::shard_content_epoch(std::size_t s) const {
 
 ArtifactCacheStats StreamingDataset::shard_cache_stats(std::size_t s) const {
   HICS_CHECK(s < slots_.size());
-  return slots_[s]->cache->stats();
+  // A one-shard window's slot has no cache: its scoring runs in the
+  // window cache (window_cache_stats).
+  const ArtifactCache* cache = slots_[s]->cache.get();
+  return cache != nullptr ? cache->stats() : ArtifactCacheStats{};
 }
 
 }  // namespace hics

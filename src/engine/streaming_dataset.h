@@ -61,18 +61,21 @@ struct StreamingOptions {
 ///    ArtifactCache untouched, so post-slide queries hit instead of
 ///    rebuild. Only slots whose rows changed are rebuilt, and their
 ///    recycled caches advance to the new epoch (retire/admit of whole
-///    shards);
+///    shards). A one-shard window builds no slot copy at all: its shard
+///    is the window artifact, so a slide only updates the slot's
+///    partition bookkeeping;
 ///  - window grids: carried by exact count retire/admit as above.
 ///
 /// Byte-identity contract: after any sequence of slides, every consumer
-/// of this plane — RunHicsSearch, RankWithSubspaces, ComputeContrastMatrix
-/// — produces output byte-identical to a cold rebuild over the identical
-/// window (a fresh PreparedDataset when the plane is unsharded, a fresh
-/// ShardedDataset at the same shard count otherwise), at every thread
-/// count. The plane guarantees this by construction: the partition rule,
-/// the one-shard rule, per-shard RNG streams (keyed by shard ordinal), and
-/// merge order are shared with PreparedDataset and ShardedDataset through
-/// the ShardPlane interface's one lattice loop, and every
+/// of this plane — RunHicsSearch, RankWithSubspaces, ComputeContrastMatrix,
+/// all of which take it as a ShardPlane — produces output byte-identical
+/// to a cold rebuild over the identical window (a fresh PreparedDataset
+/// when the plane is unsharded, a fresh ShardedDataset at the same shard
+/// count otherwise), at every thread count. The plane guarantees this by
+/// construction: the partition rule, the one-shard rules, per-shard RNG
+/// streams (keyed by shard ordinal), and merge order are shared with
+/// PreparedDataset and ShardedDataset through the ShardPlane interface's
+/// one lattice loop and one rank loop, and every
 /// incrementally maintained artifact reproduces its cold counterpart
 /// bit-for-bit (tests/streaming_dataset_test.cc asserts it; CI gates on
 /// `streaming_identical`).
@@ -149,7 +152,9 @@ class StreamingDataset : public ShardPlane {
   /// Cache statistics of the persistent window cache / shard slot `s`'s
   /// cache. Slot caches are recycled when a slot is rebuilt, so their
   /// counters accumulate across rebuilds (evicted_artifacts records the
-  /// invalidation).
+  /// invalidation). A one-shard window's slot has no cache (its shard is
+  /// prepared(), which scores into the window cache) and reports all-zero
+  /// stats.
   ArtifactCacheStats window_cache_stats() const { return window_cache_->stats(); }
   ArtifactCacheStats shard_cache_stats(std::size_t s) const;
 

@@ -6,7 +6,7 @@
 #include <set>
 #include <utility>
 
-#include "engine/sharded_dataset.h"
+#include "engine/shard_plane.h"
 
 namespace hics {
 
@@ -47,7 +47,9 @@ std::vector<double> OutlierScorer::ScoreSubspaceSharded(
     // shards serve their vectors as hits after a slide.
     const std::vector<double> shard_scores =
         ScoreSubspaceCached(sharded.shard(s), subspace);
-    HICS_CHECK_EQ(shard_scores.size(), sharded.shard_size(s));
+    // A wrong-sized shard vector cannot be placed; the empty result is
+    // wrong-sized too, which ScoreSubspaceChecked reports as an error.
+    if (shard_scores.size() != sharded.shard_size(s)) return {};
     scores.insert(scores.end(), shard_scores.begin(), shard_scores.end());
   }
   return scores;
@@ -126,36 +128,18 @@ bool AllFinite(const std::vector<double>& scores) {
 }  // namespace
 
 Result<std::vector<double>> OutlierScorer::ScoreSubspaceChecked(
-    const Dataset& dataset, const Subspace& subspace, const RunContext& ctx,
+    const ShardPlane& plane, const Subspace& subspace, const RunContext& ctx,
     std::uint64_t fault_ordinal) const {
-  HICS_RETURN_NOT_OK(ctx.CheckProgress());
-  HICS_RETURN_NOT_OK(ctx.InjectFault("scorer." + name(), fault_ordinal));
-  std::vector<double> scores = ScoreSubspace(dataset, subspace);
-  HICS_RETURN_NOT_OK(ValidateScoreVector(name(), scores,
-                                         dataset.num_objects(), subspace));
-  return scores;
-}
-
-Result<std::vector<double>> OutlierScorer::ScoreSubspacePreparedChecked(
-    const PreparedDataset& prepared, const Subspace& subspace,
-    const RunContext& ctx, std::uint64_t fault_ordinal) const {
   // Checkpoint and fault probe BEFORE the cache: a warm run must observe
   // the exact fault placement of a cold run, and a fault-skipped subspace
   // must not be served from (or admitted to) the cache.
   HICS_RETURN_NOT_OK(ctx.CheckProgress());
   HICS_RETURN_NOT_OK(ctx.InjectFault("scorer." + name(), fault_ordinal));
-  const std::string key = cache_key();
-  if (!key.empty()) {
-    if (auto hit = prepared.cache().FindScores(key, subspace)) {
-      return std::vector<double>(*hit);
-    }
-  }
-  std::vector<double> scores = ScoreSubspacePrepared(prepared, subspace);
-  HICS_RETURN_NOT_OK(ValidateScoreVector(name(), scores,
-                                         prepared.num_objects(), subspace));
-  if (!key.empty()) {
-    prepared.cache().InsertScores(key, subspace, scores);
-  }
+  std::vector<double> scores =
+      plane.num_shards() == 1 ? ScoreSubspaceCached(plane.shard(0), subspace)
+                              : ScoreSubspaceSharded(plane, subspace);
+  HICS_RETURN_NOT_OK(
+      ValidateScoreVector(name(), scores, plane.num_objects(), subspace));
   return scores;
 }
 
@@ -167,8 +151,8 @@ std::vector<double> OutlierScorer::ScoreSubspaceCached(
     return std::vector<double>(*hit);
   }
   std::vector<double> scores = ScoreSubspacePrepared(prepared, subspace);
-  // Same admission rule as the checked path: only finite, right-sized
-  // vectors enter the cache, so a later degraded run can trust any hit.
+  // Only finite, right-sized vectors enter the cache, so the checked
+  // path can trust any hit.
   if (scores.size() == prepared.num_objects() && AllFinite(scores)) {
     prepared.cache().InsertScores(key, subspace, scores);
   }

@@ -51,12 +51,14 @@ struct TrainedScorerState {
 /// two kNN-based scores to demonstrate the pluggability.
 ///
 /// Two entry-point families:
-///  - the (Dataset, Subspace) pair is the self-contained cold path;
+///  - the (Dataset, Subspace) pair is the self-contained cold path — the
+///    reference the tests compare every other route against;
 ///  - the (PreparedDataset, Subspace) pair draws shared derived state
 ///    (projected searchers, kNN tables, memoized score vectors) from the
 ///    prepared artifact, amortizing repeated scoring of one dataset. Both
 ///    families return bit-identical scores; the prepared path only trades
-///    wall clock.
+///    wall clock. The ranking loop reaches it through
+///    ScoreSubspaceChecked on a data plane.
 class OutlierScorer {
  public:
   virtual ~OutlierScorer() = default;
@@ -104,45 +106,38 @@ class OutlierScorer {
   /// scores approach the unsharded ones as shards grow and are a
   /// legitimate estimator per shard, but they are NOT comparable to
   /// unsharded scores bit-for-bit. Callers opt in through
-  /// ShardedScoringPolicy (subspace_ranker.h).
+  /// ShardedScoringPolicy (subspace_ranker.h). A shard vector of the wrong
+  /// size makes the result empty, so ScoreSubspaceChecked rejects it.
   virtual std::vector<double> ScoreSubspaceSharded(
       const ShardPlane& sharded, const Subspace& subspace) const;
 
-  /// Fallible entry point used by the degraded-execution pipeline: honors
-  /// the context (cancellation/deadline checked up front), exposes the
-  /// fault-injection site "scorer.<name>", and validates the output — a
-  /// wrong-sized or non-finite score vector becomes a Status error naming
-  /// the offending objects instead of silently poisoning the aggregate.
-  /// Scorer implementations may override to add internal checkpoints.
+  /// The ranking loop's per-subspace entry point (RankWithSubspaces in
+  /// subspace_ranker.h), fallible and plane-aware. Order of operations is
+  /// part of the bit-identity contract:
+  ///  1. context checkpoint, then the "scorer.<name>" fault probe — both
+  ///     before any cache access, so an injected fault fires on the same
+  ///     ordinal whether the cache is cold or warm;
+  ///  2. the one-shard rule: a one-shard plane scores on shard(0) through
+  ///     ScoreSubspaceCached (lookup, ScoreSubspacePrepared on a miss,
+  ///     publish only valid results); a multi-shard plane scores through
+  ///     ScoreSubspaceSharded;
+  ///  3. validation — a wrong-sized or non-finite score vector becomes a
+  ///     Status error naming the subspace and the offending objects
+  ///     instead of silently poisoning the aggregate.
   ///
   /// `fault_ordinal`, when non-zero, is this call's 1-based position in
   /// the caller's logical scoring sequence (the subspace index in a
   /// ranking pass); the fault site is probed with it so fault placement
   /// is deterministic under parallel ranking. 0 counts by arrival order.
-  virtual Result<std::vector<double>> ScoreSubspaceChecked(
-      const Dataset& dataset, const Subspace& subspace, const RunContext& ctx,
-      std::uint64_t fault_ordinal = 0) const;
-
-  /// Prepared, fallible, *memoizing* entry point — what the prepared
-  /// ranking paths call per subspace. Order of operations is part of the
-  /// bit-identity contract with the cold path:
-  ///  1. context checkpoint, then the "scorer.<name>" fault probe — both
-  ///     happen *before* any cache access, so an injected fault fires on
-  ///     the same ordinal whether the cache is cold or warm;
-  ///  2. cache lookup under cache_key() (skipped for scorers that opt out
-  ///     with an empty key); a hit returns the memoized vector;
-  ///  3. on a miss, ScoreSubspacePrepared computes, the result is
-  ///     validated, and only a *valid* result is published to the cache —
-  ///     a failed or skipped subspace never populates (or poisons) it.
-  Result<std::vector<double>> ScoreSubspacePreparedChecked(
-      const PreparedDataset& prepared, const Subspace& subspace,
+  Result<std::vector<double>> ScoreSubspaceChecked(
+      const ShardPlane& plane, const Subspace& subspace,
       const RunContext& ctx, std::uint64_t fault_ordinal = 0) const;
 
-  /// Infallible memoizing variant for the non-degraded prepared ranking
-  /// path: cache lookup, compute on miss, publish only finite
-  /// right-sized results (the same validity rule the checked path
-  /// enforces, so the two paths can never observe different cache
-  /// contents for one key).
+  /// Infallible memoizing scoring on one prepared artifact: cache lookup,
+  /// compute on miss, publish only finite right-sized results (the rule
+  /// ScoreSubspaceChecked relies on, so a hit is always valid). What a
+  /// one-shard plane ranks through, and what the default sharded path
+  /// runs per shard.
   std::vector<double> ScoreSubspaceCached(const PreparedDataset& prepared,
                                           const Subspace& subspace) const;
 

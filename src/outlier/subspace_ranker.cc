@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "engine/sharded_dataset.h"
 
 namespace hics {
 
@@ -85,18 +84,21 @@ std::vector<double> AggregateScores(
   for (const auto& scores : per_subspace_scores) {
     HICS_CHECK_EQ(scores.size(), n);
   }
-  std::vector<double> result(n, 0.0);
+  // Both reductions start from the first vector, so one vector passes
+  // through bit for bit (the full-space fallback is that vector).
+  std::vector<double> result = per_subspace_scores.front();
   switch (aggregation) {
     case ScoreAggregation::kAverage: {
-      for (const auto& scores : per_subspace_scores) {
-        for (std::size_t i = 0; i < n; ++i) result[i] += scores[i];
+      for (std::size_t s = 1; s < per_subspace_scores.size(); ++s) {
+        for (std::size_t i = 0; i < n; ++i) {
+          result[i] += per_subspace_scores[s][i];
+        }
       }
       const double inv = 1.0 / static_cast<double>(per_subspace_scores.size());
       for (double& v : result) v *= inv;
       break;
     }
     case ScoreAggregation::kMax: {
-      result = per_subspace_scores.front();
       for (std::size_t s = 1; s < per_subspace_scores.size(); ++s) {
         for (std::size_t i = 0; i < n; ++i) {
           result[i] = std::max(result[i], per_subspace_scores[s][i]);
@@ -108,63 +110,13 @@ std::vector<double> AggregateScores(
   return result;
 }
 
-std::vector<double> RankWithSubspaces(const Dataset& dataset,
-                                      const std::vector<Subspace>& subspaces,
-                                      const OutlierScorer& scorer,
-                                      ScoreAggregation aggregation,
-                                      std::size_t num_threads) {
-  if (subspaces.empty()) return scorer.ScoreFullSpace(dataset);
-  // Pre-sized slots: each subspace's vector lands at its own index, so the
-  // aggregation consumes them in subspace order regardless of which worker
-  // finished first — the result is byte-identical to the serial run.
-  std::vector<std::vector<double>> per_subspace(subspaces.size());
-  ParallelFor(0, subspaces.size(), num_threads, [&](std::size_t i) {
-    per_subspace[i] = scorer.ScoreSubspace(dataset, subspaces[i]);
-  });
-  return AggregateScores(per_subspace, aggregation);
-}
-
-std::vector<double> RankWithSubspaces(
-    const Dataset& dataset, const std::vector<ScoredSubspace>& subspaces,
+Result<DegradedRankingResult> RankWithSubspaces(
+    const ShardPlane& plane, const std::vector<Subspace>& subspaces,
     const OutlierScorer& scorer, ScoreAggregation aggregation,
+    ShardedScoringPolicy policy, const RunContext& ctx,
     std::size_t num_threads) {
-  std::vector<Subspace> plain;
-  plain.reserve(subspaces.size());
-  for (const ScoredSubspace& s : subspaces) plain.push_back(s.subspace);
-  return RankWithSubspaces(dataset, plain, scorer, aggregation, num_threads);
-}
-
-std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
-                                      const std::vector<Subspace>& subspaces,
-                                      const OutlierScorer& scorer,
-                                      ScoreAggregation aggregation,
-                                      std::size_t num_threads) {
-  if (subspaces.empty()) {
-    return scorer.ScoreSubspaceCached(prepared,
-                                      prepared.dataset().FullSpace());
-  }
-  std::vector<std::vector<double>> per_subspace(subspaces.size());
-  ParallelFor(0, subspaces.size(), num_threads, [&](std::size_t i) {
-    per_subspace[i] = scorer.ScoreSubspaceCached(prepared, subspaces[i]);
-  });
-  return AggregateScores(per_subspace, aggregation);
-}
-
-std::vector<double> RankWithSubspaces(
-    const PreparedDataset& prepared,
-    const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
-    ScoreAggregation aggregation, std::size_t num_threads) {
-  std::vector<Subspace> plain;
-  plain.reserve(subspaces.size());
-  for (const ScoredSubspace& s : subspaces) plain.push_back(s.subspace);
-  return RankWithSubspaces(prepared, plain, scorer, aggregation, num_threads);
-}
-
-Result<std::vector<double>> RankWithSubspacesSharded(
-    const ShardPlane& sharded, const std::vector<Subspace>& subspaces,
-    const OutlierScorer& scorer, ScoreAggregation aggregation,
-    ShardedScoringPolicy policy, std::size_t num_threads) {
-  if (policy == ShardedScoringPolicy::kRequireExactMerge &&
+  if (plane.num_shards() > 1 &&
+      policy == ShardedScoringPolicy::kRequireExactMerge &&
       !scorer.SupportsExactShardedMerge()) {
     return Status::InvalidArgument(
         "scorer '" + scorer.name() +
@@ -172,130 +124,49 @@ Result<std::vector<double>> RankWithSubspacesSharded(
         "is a per-shard approximation — pass "
         "ShardedScoringPolicy::kAllowApproximation to opt in");
   }
-  if (subspaces.empty()) {
-    return scorer.ScoreSubspaceSharded(sharded,
-                                       sharded.dataset().FullSpace());
-  }
-  std::vector<std::vector<double>> per_subspace(subspaces.size());
-  ParallelFor(0, subspaces.size(), num_threads, [&](std::size_t i) {
-    per_subspace[i] = scorer.ScoreSubspaceSharded(sharded, subspaces[i]);
-  });
-  return AggregateScores(per_subspace, aggregation);
-}
 
-Result<std::vector<double>> RankWithSubspacesSharded(
-    const ShardPlane& sharded,
-    const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
-    ScoreAggregation aggregation, ShardedScoringPolicy policy,
-    std::size_t num_threads) {
-  std::vector<Subspace> plain;
-  plain.reserve(subspaces.size());
-  for (const ScoredSubspace& s : subspaces) plain.push_back(s.subspace);
-  return RankWithSubspacesSharded(sharded, plain, scorer, aggregation, policy,
-                                  num_threads);
-}
-
-namespace {
-
-/// Serial degraded ranking over any per-subspace scoring callable
-/// `score(subspace, ordinal) -> Result<vector<double>>`: subspaces are
-/// attempted strictly in order and an interruption stops before the next
-/// one starts. The Dataset and PreparedDataset entry points share this
-/// (and the parallel twin below) so their degraded semantics cannot
-/// drift.
-template <typename ScoreFn>
-DegradedRankingResult RankDegradedSerial(const std::vector<Subspace>& subspaces,
-                                         ScoreAggregation aggregation,
-                                         const RunContext& ctx,
-                                         const ScoreFn& score) {
-  DegradedRankingResult result;
-  std::vector<std::vector<double>> per_subspace;
-  per_subspace.reserve(subspaces.size());
-  for (std::size_t i = 0; i < subspaces.size(); ++i) {
-    const Subspace& subspace = subspaces[i];
-    const Status progress = ctx.CheckProgress();
-    if (!progress.ok()) {
-      result.cancelled = progress.code() == StatusCode::kCancelled;
-      result.deadline_exceeded =
-          progress.code() == StatusCode::kDeadlineExceeded;
-      break;
+  // Per-subspace outcomes land in pre-sized slots and are assembled in
+  // subspace order, so the result does not depend on which worker
+  // finished first. An interruption (from the context, or returned by a
+  // scorer call) stops every subspace that has not started yet; the
+  // inline serial loop therefore stops before the next subspace in order.
+  enum class SlotState : char { kPending, kOk, kFailed, kInterrupted };
+  const std::size_t count = subspaces.size();
+  std::vector<SlotState> state(count, SlotState::kPending);
+  std::vector<std::vector<double>> slot_scores(count);
+  std::vector<Status> slot_status(count);
+  std::atomic<std::size_t> attempted{0};
+  std::atomic<bool> interrupted{false};
+  ParallelFor(0, count, num_threads, [&](std::size_t i) {
+    if (interrupted.load(std::memory_order_relaxed) || ctx.ShouldStop()) {
+      return;
     }
-    ++result.attempted;
-    Result<std::vector<double>> scores = score(subspace, i + 1);
+    attempted.fetch_add(1, std::memory_order_relaxed);
+    Result<std::vector<double>> scores =
+        scorer.ScoreSubspaceChecked(plane, subspaces[i], ctx, i + 1);
     if (scores.ok()) {
-      ++result.succeeded;
-      per_subspace.push_back(std::move(scores).ValueOrDie());
-      continue;
+      slot_scores[i] = std::move(scores).ValueOrDie();
+      state[i] = SlotState::kOk;
+      return;
     }
-    const StatusCode code = scores.status().code();
+    slot_status[i] = scores.status();
+    const StatusCode code = slot_status[i].code();
     if (code == StatusCode::kCancelled ||
         code == StatusCode::kDeadlineExceeded) {
-      result.cancelled = code == StatusCode::kCancelled;
-      result.deadline_exceeded = code == StatusCode::kDeadlineExceeded;
-      break;
+      interrupted.store(true, std::memory_order_relaxed);
+      state[i] = SlotState::kInterrupted;
+    } else {
+      state[i] = SlotState::kFailed;
     }
-    result.failures.push_back({subspace, scores.status()});
-  }
-  if (!per_subspace.empty()) {
-    result.scores = AggregateScores(per_subspace, aggregation);
-  }
-  return result;
-}
+  });
 
-/// Parallel degraded ranking: per-subspace outcomes land in pre-sized
-/// slots and are assembled in subspace order, so healthy runs match the
-/// serial path bit for bit (each scorer call carries its subspace index as
-/// the fault ordinal, pinning injected faults to the same subspaces).
-template <typename ScoreFn>
-DegradedRankingResult RankDegradedParallel(
-    const std::vector<Subspace>& subspaces, ScoreAggregation aggregation,
-    const RunContext& ctx, std::size_t num_threads, const ScoreFn& score) {
-  enum class SlotState : char { kPending, kOk, kFailed };
   DegradedRankingResult result;
-  std::vector<SlotState> state(subspaces.size(), SlotState::kPending);
-  std::vector<std::vector<double>> slot_scores(subspaces.size());
-  std::vector<Status> slot_status(subspaces.size());
-  std::atomic<std::size_t> attempted{0};
-
-  const Status level_status = ParallelTryFor(
-      0, subspaces.size(), num_threads,
-      [&](std::size_t i) -> Status {
-        HICS_RETURN_NOT_OK(ctx.CheckProgress());
-        attempted.fetch_add(1, std::memory_order_relaxed);
-        Result<std::vector<double>> scores = score(subspaces[i], i + 1);
-        if (scores.ok()) {
-          slot_scores[i] = std::move(scores).ValueOrDie();
-          state[i] = SlotState::kOk;
-          return Status::OK();
-        }
-        const StatusCode code = scores.status().code();
-        if (code == StatusCode::kCancelled ||
-            code == StatusCode::kDeadlineExceeded) {
-          return scores.status();  // interruption: winds the ranking down
-        }
-        slot_status[i] = scores.status();
-        state[i] = SlotState::kFailed;
-        return Status::OK();  // isolated failure: keep ranking
-      },
-      [&ctx] { return ctx.ShouldStop(); });
-
   result.attempted = attempted.load(std::memory_order_relaxed);
-  if (!level_status.ok()) {
-    result.cancelled = level_status.code() == StatusCode::kCancelled;
-    result.deadline_exceeded =
-        level_status.code() == StatusCode::kDeadlineExceeded;
-  } else if (std::find(state.begin(), state.end(), SlotState::kPending) !=
-             state.end()) {
-    // Holes without an error: the should_stop wind-down skipped work.
-    const Status progress = ctx.CheckProgress();
-    result.cancelled = progress.code() == StatusCode::kCancelled;
-    result.deadline_exceeded =
-        progress.code() == StatusCode::kDeadlineExceeded;
-  }
-
   std::vector<std::vector<double>> per_subspace;
-  per_subspace.reserve(subspaces.size());
-  for (std::size_t i = 0; i < subspaces.size(); ++i) {
+  per_subspace.reserve(count);
+  StatusCode stop = StatusCode::kOk;
+  bool skipped = false;
+  for (std::size_t i = 0; i < count; ++i) {
     switch (state[i]) {
       case SlotState::kOk:
         ++result.succeeded;
@@ -304,51 +175,74 @@ DegradedRankingResult RankDegradedParallel(
       case SlotState::kFailed:
         result.failures.push_back({subspaces[i], std::move(slot_status[i])});
         break;
+      case SlotState::kInterrupted:
+        if (stop == StatusCode::kOk) stop = slot_status[i].code();
+        break;
       case SlotState::kPending:
+        skipped = true;
         break;
     }
   }
+  // Holes without an interruption status: the context stopped the loop.
+  if (stop == StatusCode::kOk && skipped) stop = ctx.CheckProgress().code();
+  result.cancelled = stop == StatusCode::kCancelled;
+  result.deadline_exceeded = stop == StatusCode::kDeadlineExceeded;
   if (!per_subspace.empty()) {
     result.scores = AggregateScores(per_subspace, aggregation);
   }
   return result;
 }
 
-template <typename ScoreFn>
-DegradedRankingResult RankDegraded(const std::vector<Subspace>& subspaces,
-                                   ScoreAggregation aggregation,
-                                   const RunContext& ctx,
-                                   std::size_t num_threads,
-                                   const ScoreFn& score) {
-  if (ParallelWorkerCount(subspaces.size(), num_threads) <= 1) {
-    return RankDegradedSerial(subspaces, aggregation, ctx, score);
-  }
-  return RankDegradedParallel(subspaces, aggregation, ctx, num_threads, score);
+namespace {
+
+/// The faces' shared body call: default context, the full space for an
+/// empty list, and the first failed subspace's status as the error.
+Result<std::vector<double>> RankOrFail(const ShardPlane& plane,
+                                       const std::vector<Subspace>& subspaces,
+                                       const OutlierScorer& scorer,
+                                       ScoreAggregation aggregation,
+                                       ShardedScoringPolicy policy,
+                                       std::size_t num_threads) {
+  std::vector<Subspace> full_space;
+  if (subspaces.empty()) full_space.push_back(plane.dataset().FullSpace());
+  HICS_ASSIGN_OR_RETURN(
+      DegradedRankingResult ranked,
+      RankWithSubspaces(plane, subspaces.empty() ? full_space : subspaces,
+                        scorer, aggregation, policy, RunContext(),
+                        num_threads));
+  if (!ranked.failures.empty()) return ranked.failures.front().status;
+  return std::move(ranked.scores);
 }
 
 }  // namespace
 
-DegradedRankingResult RankWithSubspacesDegraded(
-    const Dataset& dataset, const std::vector<Subspace>& subspaces,
-    const OutlierScorer& scorer, ScoreAggregation aggregation,
-    const RunContext& ctx, std::size_t num_threads) {
-  return RankDegraded(
-      subspaces, aggregation, ctx, num_threads,
-      [&](const Subspace& subspace, std::size_t ordinal) {
-        return scorer.ScoreSubspaceChecked(dataset, subspace, ctx, ordinal);
-      });
+std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
+                                      const std::vector<Subspace>& subspaces,
+                                      const OutlierScorer& scorer,
+                                      ScoreAggregation aggregation,
+                                      std::size_t num_threads) {
+  Result<std::vector<double>> ranked =
+      RankOrFail(prepared, subspaces, scorer, aggregation,
+                 ShardedScoringPolicy::kRequireExactMerge, num_threads);
+  HICS_CHECK(ranked.ok()) << ranked.status().ToString();
+  return std::move(ranked).ValueOrDie();
 }
 
-DegradedRankingResult RankWithSubspacesDegraded(
-    const PreparedDataset& prepared, const std::vector<Subspace>& subspaces,
+Result<std::vector<double>> RankWithSubspaces(
+    const ShardPlane& plane, const std::vector<ScoredSubspace>& subspaces,
     const OutlierScorer& scorer, ScoreAggregation aggregation,
-    const RunContext& ctx, std::size_t num_threads) {
-  return RankDegraded(
-      subspaces, aggregation, ctx, num_threads,
-      [&](const Subspace& subspace, std::size_t ordinal) {
-        return scorer.ScoreSubspacePreparedChecked(prepared, subspace, ctx,
-                                                   ordinal);
-      });
+    ShardedScoringPolicy policy, std::size_t num_threads) {
+  return RankOrFail(plane, SubspacesOf(subspaces), scorer, aggregation,
+                    policy, num_threads);
+}
+
+Result<std::vector<double>> RankWithSubspacesSharded(
+    const ShardPlane& sharded,
+    const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
+    ScoreAggregation aggregation, ShardedScoringPolicy policy,
+    std::size_t num_threads) {
+  return RankWithSubspaces(sharded, subspaces, scorer, aggregation, policy,
+                           num_threads);
 }
 
 }  // namespace hics

@@ -3,11 +3,11 @@
 
 #include <vector>
 
-#include "common/dataset.h"
 #include "common/run_context.h"
 #include "common/status.h"
 #include "common/subspace.h"
 #include "engine/prepared_dataset.h"
+#include "engine/shard_plane.h"
 #include "index/neighbor_searcher.h"
 #include "outlier/outlier_scorer.h"
 
@@ -62,91 +62,31 @@ enum class ScoreAggregation {
 };
 
 /// Aggregates per-subspace score vectors (all of equal length) into one
-/// final score per object.
+/// final score per object. A single vector passes through bit for bit.
 std::vector<double> AggregateScores(
     const std::vector<std::vector<double>>& per_subspace_scores,
     ScoreAggregation aggregation);
 
-/// The outlier-ranking half of the decoupled pipeline: runs `scorer` on
-/// every subspace in `subspaces` and aggregates. With an empty subspace
-/// list, scores the full space (traditional outlier ranking).
-///
-/// `num_threads` scores subspaces concurrently on the shared thread pool
-/// (1 = serial, 0 = hardware concurrency). Each subspace's scores land in
-/// a pre-sized slot and aggregation runs over the slots in subspace
-/// order, so the result is byte-identical for every thread count. The
-/// scorer must tolerate concurrent ScoreSubspace calls (all shipped
-/// scorers are stateless).
-std::vector<double> RankWithSubspaces(const Dataset& dataset,
-                                      const std::vector<Subspace>& subspaces,
-                                      const OutlierScorer& scorer,
-                                      ScoreAggregation aggregation =
-                                          ScoreAggregation::kAverage,
-                                      std::size_t num_threads = 1);
-
-/// Convenience overload for scored subspaces (scores ignored; only the
-/// projections matter for ranking).
-std::vector<double> RankWithSubspaces(
-    const Dataset& dataset, const std::vector<ScoredSubspace>& subspaces,
-    const OutlierScorer& scorer,
-    ScoreAggregation aggregation = ScoreAggregation::kAverage,
-    std::size_t num_threads = 1);
-
-/// Prepared-path ranking: scores each subspace through
-/// OutlierScorer::ScoreSubspaceCached, so projected searchers, kNN tables
-/// and whole score vectors are drawn from (and published to) `prepared`'s
-/// artifact cache. A warm cache turns repeated rankings of one dataset —
-/// the serving pattern — into cache lookups plus one aggregation pass.
-/// Byte-identical to the Dataset overload for every cache state and
-/// thread count.
-std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
-                                      const std::vector<Subspace>& subspaces,
-                                      const OutlierScorer& scorer,
-                                      ScoreAggregation aggregation =
-                                          ScoreAggregation::kAverage,
-                                      std::size_t num_threads = 1);
-
-/// Prepared-path convenience overload for scored subspaces.
-std::vector<double> RankWithSubspaces(
-    const PreparedDataset& prepared,
-    const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
-    ScoreAggregation aggregation = ScoreAggregation::kAverage,
-    std::size_t num_threads = 1);
-
 /// Caller consent for sharded scoring semantics (DESIGN.md §5i). Sharded
 /// scoring is exact only for scorers that merge per-shard state without
 /// approximation (OutlierScorer::SupportsExactShardedMerge — the
-/// grid-density tier); for neighbor-based scorers the sharded path falls
-/// back to the per-shard approximation, which is a *different estimator*
-/// than unsharded scoring. That semantic change must be an explicit
-/// caller decision, never a silent fallback.
+/// grid-density tier); for neighbor-based scorers a plane with several
+/// shards falls back to the per-shard approximation, which is a
+/// *different estimator* than unsharded scoring. That semantic change must
+/// be an explicit caller decision, never a silent fallback. A one-shard
+/// plane is the unsharded estimator for every scorer, so the policy only
+/// matters when num_shards() > 1.
 enum class ShardedScoringPolicy {
-  /// Error (InvalidArgument) unless the scorer merges exactly — the
-  /// ranking is then bit-identical to the unsharded prepared path.
+  /// Error (InvalidArgument) on a multi-shard plane unless the scorer
+  /// merges exactly — the ranking is then bit-identical to the unsharded
+  /// prepared path.
   kRequireExactMerge,
   /// Permit the per-shard approximation for non-merging scorers (each
   /// shard scored against its own rows, concatenated in shard order).
   kAllowApproximation,
 };
 
-/// Sharded ranking: scores each subspace through
-/// OutlierScorer::ScoreSubspaceSharded and aggregates in subspace order,
-/// byte-identical for every thread count. With an empty subspace list,
-/// scores the full space. Fails (never silently degrades) when `policy`
-/// is kRequireExactMerge and the scorer cannot merge exactly.
-Result<std::vector<double>> RankWithSubspacesSharded(
-    const ShardPlane& sharded, const std::vector<Subspace>& subspaces,
-    const OutlierScorer& scorer, ScoreAggregation aggregation,
-    ShardedScoringPolicy policy, std::size_t num_threads = 1);
-
-/// Sharded convenience overload for scored subspaces.
-Result<std::vector<double>> RankWithSubspacesSharded(
-    const ShardPlane& sharded,
-    const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
-    ScoreAggregation aggregation, ShardedScoringPolicy policy,
-    std::size_t num_threads = 1);
-
-/// One isolated per-subspace failure observed during degraded ranking.
+/// One isolated per-subspace failure observed during ranking.
 struct SubspaceFailure {
   Subspace subspace;
   Status status;
@@ -172,38 +112,80 @@ struct DegradedRankingResult {
   bool deadline_exceeded = false;   ///< stopped early: deadline
 };
 
-/// Fault-isolated, context-aware ranking: scores each subspace through
-/// OutlierScorer::ScoreSubspaceChecked, skips and records subspaces whose
-/// scorer fails, and stops early (keeping the aggregate over the subspaces
-/// already scored) when the context is cancelled or past its deadline.
-/// Never fails itself; with an empty `subspaces` list it returns an empty
-/// result with attempted == 0 so the caller can fall back to full-space
-/// scoring.
+/// The outlier-ranking half of the decoupled pipeline, over any data
+/// plane: scores every subspace through
+/// OutlierScorer::ScoreSubspaceChecked and aggregates the survivors in
+/// subspace order. It is the one ranking loop; the faces below are thin
+/// wrappers over it.
+///
+/// Per subspace, ScoreSubspaceChecked runs the context checkpoint, the
+/// "scorer.<name>" fault probe (ordinal = subspace index + 1), the
+/// plane's scoring route, and validation. The route is the one-shard
+/// rule: a one-shard plane (a PreparedDataset, ShardedDataset(ds, 1), a
+/// one-shard StreamingDataset) scores on shard(0) through its artifact
+/// cache, so it ranks exactly like the PreparedDataset over the same rows
+/// under either policy; a multi-shard plane scores through
+/// OutlierScorer::ScoreSubspaceSharded.
+///
+/// Fails only up front: InvalidArgument when the plane has more than one
+/// shard, `policy` is kRequireExactMerge and the scorer cannot merge
+/// per-shard state exactly. Otherwise it degrades instead of failing:
+///  - a subspace whose scorer fails (injected fault, wrong-sized or
+///    non-finite output) is skipped and recorded in `failures`;
+///  - cancellation or deadline expiry stops scheduling further subspaces
+///    and keeps the aggregate over the ones already scored;
+///  - an empty `subspaces` list yields attempted == 0 and empty scores, so
+///    the caller picks its fallback (the faces score the full space).
+/// A failed or skipped subspace never enters an artifact cache, and a
+/// warm cache never masks an injected fault (the probe runs first).
 ///
 /// `num_threads` (1 = serial, 0 = hardware concurrency) scores subspaces
-/// concurrently; each call passes its subspace index as the fault
-/// ordinal, so injected fault placement — and therefore the surviving
-/// ensemble and its aggregate — is byte-identical for every thread
-/// count. On interruption the serial path stops before the next subspace
-/// in order, while the parallel path additionally keeps any later
-/// subspaces that had already completed (both aggregate only completed
-/// members, in subspace order). `failures` is in subspace order either
-/// way.
-DegradedRankingResult RankWithSubspacesDegraded(
-    const Dataset& dataset, const std::vector<Subspace>& subspaces,
+/// concurrently; each outcome lands in a pre-sized slot and aggregation
+/// runs over the slots in subspace order, so a healthy result — and,
+/// because fault ordinals are subspace indices, the surviving ensemble of
+/// a faulted one — is byte-identical for every thread count. On
+/// interruption the serial run stops before the next subspace in order,
+/// while a parallel run additionally keeps later subspaces that had
+/// already completed. The scorer must tolerate concurrent calls (all
+/// shipped scorers are stateless).
+Result<DegradedRankingResult> RankWithSubspaces(
+    const ShardPlane& plane, const std::vector<Subspace>& subspaces,
     const OutlierScorer& scorer, ScoreAggregation aggregation,
-    const RunContext& ctx, std::size_t num_threads = 1);
+    ShardedScoringPolicy policy, const RunContext& ctx,
+    std::size_t num_threads = 1);
 
-/// Prepared-path degraded ranking: same fault-isolation contract as the
-/// Dataset overload, scored through ScoreSubspacePreparedChecked so
-/// healthy subspaces hit the artifact cache. The checkpoint and fault
-/// probe run before any cache access, so injected fault placement — and
-/// the surviving ensemble — is byte-identical between cold and warm runs,
-/// and a failed or skipped subspace never populates the cache.
-DegradedRankingResult RankWithSubspacesDegraded(
-    const PreparedDataset& prepared, const std::vector<Subspace>& subspaces,
-    const OutlierScorer& scorer, ScoreAggregation aggregation,
-    const RunContext& ctx, std::size_t num_threads = 1);
+/// Face over the body for the prepared (one-shard) plane with a default
+/// context: the aggregated scores. With an empty subspace list, scores
+/// the full space (traditional outlier ranking). A subspace whose scorer
+/// output is wrong-sized or non-finite is a programming error here and
+/// CHECK-fails naming the subspace; callers that must survive it use the
+/// body. A warm cache turns repeated rankings of one dataset — the serving
+/// pattern — into cache lookups plus one aggregation pass.
+std::vector<double> RankWithSubspaces(const PreparedDataset& prepared,
+                                      const std::vector<Subspace>& subspaces,
+                                      const OutlierScorer& scorer,
+                                      ScoreAggregation aggregation =
+                                          ScoreAggregation::kAverage,
+                                      std::size_t num_threads = 1);
+
+/// Face over the body for scored subspaces (the search output; scores are
+/// ignored) on any plane, with a default context. With an empty subspace
+/// list, scores the full space. Errors: the body's policy refusal, or the
+/// first failed subspace's status (wrong-sized or non-finite scorer
+/// output).
+Result<std::vector<double>> RankWithSubspaces(
+    const ShardPlane& plane, const std::vector<ScoredSubspace>& subspaces,
+    const OutlierScorer& scorer,
+    ScoreAggregation aggregation = ScoreAggregation::kAverage,
+    ShardedScoringPolicy policy = ShardedScoringPolicy::kRequireExactMerge,
+    std::size_t num_threads = 1);
+
+/// The same face under its sharded name.
+Result<std::vector<double>> RankWithSubspacesSharded(
+    const ShardPlane& sharded,
+    const std::vector<ScoredSubspace>& subspaces, const OutlierScorer& scorer,
+    ScoreAggregation aggregation, ShardedScoringPolicy policy,
+    std::size_t num_threads = 1);
 
 }  // namespace hics
 

@@ -54,7 +54,7 @@ TEST(FaultInjectionPipelineTest, SkippedScorersKeepRankingIntact) {
   const LofScorer lof({.min_pts = 10});
 
   // Fault-free reference run.
-  const auto clean = RunHicsPipeline(data, params, lof);
+  const auto clean = RunHicsPipeline(PreparedDataset(data), params, lof);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   ASSERT_GT(clean->subspaces.size(), 10u);
   EXPECT_FALSE(clean->diagnostics.degraded());
@@ -74,7 +74,7 @@ TEST(FaultInjectionPipelineTest, SkippedScorersKeepRankingIntact) {
   RunContext ctx;
   ctx.SetFaultInjector(&injector);
 
-  const auto faulty = RunHicsPipeline(data, params, lof, ctx);
+  const auto faulty = RunHicsPipeline(PreparedDataset(data), params, lof, ctx);
   ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
 
   // Full ranking, k recorded skips, correct tallies.
@@ -104,7 +104,7 @@ TEST(FaultInjectionPipelineTest, AllScorersFailingFallsBackToFullSpace) {
   const HicsParams params = FastParams();
   const LofScorer lof({.min_pts = 10});
 
-  const auto clean = RunHicsPipeline(data, params, lof);
+  const auto clean = RunHicsPipeline(PreparedDataset(data), params, lof);
   ASSERT_TRUE(clean.ok());
   const std::size_t num_subspaces = clean->subspaces.size();
   ASSERT_GT(num_subspaces, 0u);
@@ -118,7 +118,8 @@ TEST(FaultInjectionPipelineTest, AllScorersFailingFallsBackToFullSpace) {
   RunContext ctx;
   ctx.SetFaultInjector(&injector);
 
-  const auto degraded = RunHicsPipeline(data, params, lof, ctx);
+  const auto degraded =
+      RunHicsPipeline(PreparedDataset(data), params, lof, ctx);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_EQ(degraded->scores.size(), data.num_objects());
   EXPECT_EQ(degraded->diagnostics.skipped_subspaces, num_subspaces);
@@ -134,7 +135,8 @@ TEST(FaultInjectionPipelineTest, TotalScorerFailureSurfacesError) {
   RunContext ctx;
   ctx.SetFaultInjector(&injector);
 
-  const auto result = RunHicsPipeline(data, FastParams(), lof, ctx);
+  const auto result =
+      RunHicsPipeline(PreparedDataset(data), FastParams(), lof, ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
 }
@@ -162,7 +164,8 @@ TEST(FaultInjectionPipelineTest, NonFiniteScorerOutputIsIsolated) {
   const Dataset data = MakeData(100, 6, 44);
   const NanOnSecondCall scorer;
   const auto result =
-      RunHicsPipeline(data, FastParams(), scorer, RunContext());
+      RunHicsPipeline(PreparedDataset(data), FastParams(), scorer,
+                      RunContext());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->diagnostics.skipped_subspaces, 1u);
   ASSERT_EQ(result->diagnostics.failures.size(), 1u);
@@ -197,7 +200,8 @@ TEST(FaultInjectionSearchTest, ContrastFaultsSkipSubspacesNotTheSearch) {
   injector.Reset();
   injector.FailNthCall("contrast.estimate", 3, Status::Internal("again"));
   const LofScorer lof({.min_pts = 10});
-  const auto pipeline = RunHicsPipeline(data, params, lof, ctx);
+  const auto pipeline =
+      RunHicsPipeline(PreparedDataset(data), params, lof, ctx);
   ASSERT_TRUE(pipeline.ok());
   EXPECT_EQ(pipeline->diagnostics.error_tally.at("contrast.estimate"), 1u);
 }
@@ -352,7 +356,7 @@ TEST(DeadlineTest, PipelinePropagatesDeadlineFlag) {
   const Dataset data = MakeData(200, 8, 49);
   const LofScorer lof({.min_pts = 10});
   const auto result =
-      RunHicsPipeline(data, FastParams(), lof,
+      RunHicsPipeline(PreparedDataset(data), FastParams(), lof,
                       RunContext::WithTimeout(milliseconds(0)));
   // With an already-expired deadline nothing can be scored at all; the
   // pipeline surfaces the deadline error from the full-space fallback.
@@ -381,8 +385,7 @@ TEST(CancellationTest, MidRankingCancellationKeepsPartialAggregate) {
   const auto subspaces = RunHicsSearch(data, params);
   ASSERT_TRUE(subspaces.ok());
   ASSERT_GT(subspaces->size(), 3u);
-  std::vector<Subspace> plain;
-  for (const ScoredSubspace& s : *subspaces) plain.push_back(s.subspace);
+  const std::vector<Subspace> plain = SubspacesOf(*subspaces);
 
   // Cancel from inside the 3rd scorer call via a wrapper scorer.
   RunContext ctx;
@@ -405,8 +408,9 @@ TEST(CancellationTest, MidRankingCancellationKeepsPartialAggregate) {
   const LofScorer lof({.min_pts = 10});
   const CancellingScorer scorer(lof, ctx);
 
-  const DegradedRankingResult ranked = RankWithSubspacesDegraded(
-      data, plain, scorer, ScoreAggregation::kAverage, ctx);
+  const DegradedRankingResult ranked = *RankWithSubspaces(
+      PreparedDataset(data), plain, scorer, ScoreAggregation::kAverage,
+      ShardedScoringPolicy::kRequireExactMerge, ctx);
   EXPECT_TRUE(ranked.cancelled);
   EXPECT_FALSE(ranked.deadline_exceeded);
   // The 3rd call itself completes (cooperative model); nothing after it

@@ -28,7 +28,7 @@ TEST(IntegrationTest, PipelineRunsOnEveryUciStandIn) {
     params.output_top_k = 30;
     params.num_threads = 0;  // exercise the parallel path end-to-end
     LofScorer lof({.min_pts = 10});
-    auto result = RunHicsPipeline(*data, params, lof);
+    auto result = RunHicsPipeline(PreparedDataset(*data), params, lof);
     ASSERT_TRUE(result.ok()) << spec.name;
     ASSERT_EQ(result->scores.size(), data->num_objects()) << spec.name;
     ASSERT_FALSE(result->subspaces.empty()) << spec.name;
@@ -51,7 +51,7 @@ TEST(IntegrationTest, CvmVariantWorksEndToEnd) {
   params.statistical_test = "cvm";
   params.num_iterations = 50;
   LofScorer lof({.min_pts = 10});
-  auto result = RunHicsPipeline(data->data, params, lof);
+  auto result = RunHicsPipeline(PreparedDataset(data->data), params, lof);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(*ComputeAuc(result->scores, data->data.labels()), 0.8);
 }
@@ -136,8 +136,8 @@ TEST(IntegrationTest, ScoresStableAcrossRepeatedPipelineRuns) {
   HicsParams params;
   params.num_iterations = 20;
   LofScorer lof({.min_pts = 10});
-  auto r1 = RunHicsPipeline(data->data, params, lof);
-  auto r2 = RunHicsPipeline(data->data, params, lof);
+  auto r1 = RunHicsPipeline(PreparedDataset(data->data), params, lof);
+  auto r2 = RunHicsPipeline(PreparedDataset(data->data), params, lof);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_EQ(r1->scores, r2->scores);
 }

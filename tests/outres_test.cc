@@ -84,7 +84,8 @@ TEST(OutresTest, WorksAsPipelineScorer) {
   OutresScorer scorer;
   // Rank in the true subspaces (the decoupling contract: any scorer).
   const auto scores =
-      RankWithSubspaces(data->data, data->relevant_subspaces, scorer);
+      RankWithSubspaces(PreparedDataset(data->data), data->relevant_subspaces,
+                        scorer);
   const double auc = *ComputeAuc(scores, data->data.labels());
   EXPECT_GT(auc, 0.8);
 }

@@ -82,11 +82,15 @@ TEST(ParallelDeterminismTest, RankingIsIdenticalForEveryThreadCount) {
   ASSERT_GT(subspaces->size(), 4u);
   const LofScorer lof({.min_pts = 10});
 
-  const auto reference = RankWithSubspaces(data, *subspaces, lof,
-                                           ScoreAggregation::kAverage, 1);
+  // A fresh prepared artifact per call: a shared cache would hand every
+  // later call the first call's vectors.
+  const auto reference =
+      RankWithSubspaces(PreparedDataset(data), SubspacesOf(*subspaces), lof,
+                        ScoreAggregation::kAverage, 1);
   for (std::size_t threads : kThreadCounts) {
-    const auto scores = RankWithSubspaces(data, *subspaces, lof,
-                                          ScoreAggregation::kAverage, threads);
+    const auto scores =
+        RankWithSubspaces(PreparedDataset(data), SubspacesOf(*subspaces), lof,
+                          ScoreAggregation::kAverage, threads);
     ASSERT_EQ(scores.size(), reference.size());
     for (std::size_t i = 0; i < scores.size(); ++i) {
       EXPECT_EQ(scores[i], reference[i])
@@ -98,11 +102,13 @@ TEST(ParallelDeterminismTest, RankingIsIdenticalForEveryThreadCount) {
 TEST(ParallelDeterminismTest, FullPipelineIsIdenticalForEveryThreadCount) {
   const Dataset data = MakeData(250, 8, 73);
   const LofScorer lof({.min_pts = 10});
-  const auto reference = RunHicsPipeline(data, BaseParams(1), lof);
+  const auto reference =
+      RunHicsPipeline(PreparedDataset(data), BaseParams(1), lof);
   ASSERT_TRUE(reference.ok());
 
   for (std::size_t threads : kThreadCounts) {
-    const auto result = RunHicsPipeline(data, BaseParams(threads), lof);
+    const auto result =
+        RunHicsPipeline(PreparedDataset(data), BaseParams(threads), lof);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameSubspaces(reference->subspaces, result->subspaces, threads);
     ASSERT_EQ(result->scores.size(), reference->scores.size());
@@ -133,7 +139,8 @@ TEST(ParallelDeterminismTest, DegradedPipelineIsIdenticalForEveryThreadCount) {
                          Status::Internal("injected scorer crash"));
     RunContext ctx;
     ctx.SetFaultInjector(&injector);
-    auto result = RunHicsPipeline(data, BaseParams(threads), lof, ctx);
+    auto result =
+        RunHicsPipeline(PreparedDataset(data), BaseParams(threads), lof, ctx);
     EXPECT_EQ(injector.FiredCount("contrast.estimate"), 2u)
         << "num_threads=" << threads;
     EXPECT_EQ(injector.FiredCount("scorer.lof"), 2u)

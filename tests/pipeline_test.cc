@@ -28,7 +28,7 @@ TEST(PipelineTest, EndToEndBeatsFullSpaceLof) {
   params.output_top_k = 20;
   LofScorer lof({.min_pts = 10});
 
-  auto pipeline = RunHicsPipeline(data->data, params, lof);
+  auto pipeline = RunHicsPipeline(PreparedDataset(data->data), params, lof);
   ASSERT_TRUE(pipeline.ok());
   ASSERT_EQ(pipeline->scores.size(), data->data.num_objects());
   ASSERT_FALSE(pipeline->subspaces.empty());
@@ -44,7 +44,7 @@ TEST(PipelineTest, EndToEndBeatsFullSpaceLof) {
 TEST(PipelineTest, PropagatesSearchErrors) {
   Dataset degenerate(100, 1);
   LofScorer lof;
-  auto result = RunHicsPipeline(degenerate, HicsParams{}, lof);
+  auto result = RunHicsPipeline(PreparedDataset(degenerate), HicsParams{}, lof);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -55,7 +55,7 @@ TEST(PipelineTest, PropagatesParamErrors) {
   HicsParams bad;
   bad.alpha = 2.0;
   LofScorer lof;
-  EXPECT_FALSE(RunHicsPipeline(data->data, bad, lof).ok());
+  EXPECT_FALSE(RunHicsPipeline(PreparedDataset(data->data), bad, lof).ok());
 }
 
 TEST(PipelineTest, WorksWithAlternativeScorers) {
@@ -68,8 +68,8 @@ TEST(PipelineTest, WorksWithAlternativeScorers) {
 
   const KnnDistanceScorer knn_dist(10);
   const KnnAverageScorer knn_avg(10);
-  auto r1 = RunHicsPipeline(data->data, params, knn_dist);
-  auto r2 = RunHicsPipeline(data->data, params, knn_avg);
+  auto r1 = RunHicsPipeline(PreparedDataset(data->data), params, knn_dist);
+  auto r2 = RunHicsPipeline(PreparedDataset(data->data), params, knn_avg);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_GT(*ComputeAuc(r1->scores, data->data.labels()), 0.7);
   EXPECT_GT(*ComputeAuc(r2->scores, data->data.labels()), 0.7);
@@ -82,10 +82,10 @@ TEST(PipelineTest, MaxAggregationAvailable) {
   params.num_iterations = 40;
   params.output_top_k = 15;
   LofScorer lof({.min_pts = 10});
-  auto avg = RunHicsPipeline(data->data, params, lof,
+  auto avg = RunHicsPipeline(PreparedDataset(data->data), params, lof,
                              ScoreAggregation::kAverage);
-  auto mx =
-      RunHicsPipeline(data->data, params, lof, ScoreAggregation::kMax);
+  auto mx = RunHicsPipeline(PreparedDataset(data->data), params, lof,
+                            ScoreAggregation::kMax);
   ASSERT_TRUE(avg.ok() && mx.ok());
   // Max aggregation dominates average pointwise.
   for (std::size_t i = 0; i < avg->scores.size(); ++i) {

@@ -12,10 +12,12 @@
 #include "core/contrast_matrix.h"
 #include "core/hics.h"
 #include "core/pipeline.h"
+#include "engine/sharded_dataset.h"
 #include "outlier/grid_density.h"
 #include "outlier/knn_outlier.h"
 #include "outlier/lof.h"
 #include "outlier/subspace_ranker.h"
+#include "rank_oracle.h"
 #include "search/subspace_search.h"
 
 namespace hics {
@@ -157,7 +159,7 @@ TEST(PreparedDatasetTest, ColdAndWarmRankingIdenticalAcrossThreadCounts) {
   const auto subspaces = SomeSubspaces();
   const LofScorer scorer({.min_pts = 8});
   const std::vector<double> reference =
-      RankWithSubspaces(ds, subspaces, scorer);
+      OracleRank(ds, subspaces, scorer);
 
   const PreparedDataset prepared(ds);
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -170,6 +172,14 @@ TEST(PreparedDatasetTest, ColdAndWarmRankingIdenticalAcrossThreadCounts) {
                                         ScoreAggregation::kAverage, threads);
     EXPECT_EQ(cold, reference) << "threads=" << threads;
     EXPECT_EQ(warm, reference) << "threads=" << threads;
+    // A one-shard ShardedDataset is the same estimator, so it ranks
+    // byte-identically and needs no approximation consent.
+    const ShardedDataset one_shard(ds, 1);
+    const auto one_shard_scores = RankWithSubspaces(
+        one_shard, Scored(subspaces), scorer, ScoreAggregation::kAverage,
+        ShardedScoringPolicy::kRequireExactMerge, threads);
+    ASSERT_TRUE(one_shard_scores.ok()) << one_shard_scores.status().ToString();
+    EXPECT_EQ(*one_shard_scores, reference) << "threads=" << threads;
   }
   const ArtifactCacheStats stats = prepared.cache().stats();
   EXPECT_GT(stats.score_hits, 0u);
@@ -227,7 +237,7 @@ TEST(PreparedDatasetTest, PreparedPipelineMatchesLegacyAndWarmRepeat) {
   params.output_top_k = 8;
   const LofScorer scorer({.min_pts = 8});
 
-  const auto legacy = RunHicsPipeline(ds, params, scorer);
+  const auto legacy = RunHicsPipeline(PreparedDataset(ds), params, scorer);
   ASSERT_TRUE(legacy.ok());
 
   const PreparedDataset prepared(ds);
@@ -255,8 +265,9 @@ TEST(PreparedDatasetTest, FailedSubspaceIsNeverCached) {
   ctx.SetFaultInjector(&injector);
 
   const DegradedRankingResult degraded =
-      RankWithSubspacesDegraded(prepared, subspaces, scorer,
-                                ScoreAggregation::kAverage, ctx);
+      *RankWithSubspaces(prepared, subspaces, scorer,
+                         ScoreAggregation::kAverage,
+                         ShardedScoringPolicy::kRequireExactMerge, ctx);
   EXPECT_EQ(degraded.succeeded, subspaces.size() - 1);
   ASSERT_EQ(degraded.failures.size(), 1u);
   EXPECT_EQ(degraded.failures.front().subspace, subspaces[1]);
@@ -269,7 +280,7 @@ TEST(PreparedDatasetTest, FailedSubspaceIsNeverCached) {
   // the plain cold path byte for byte.
   const std::vector<double> healthy =
       RankWithSubspaces(prepared, subspaces, scorer);
-  EXPECT_EQ(healthy, RankWithSubspaces(ds, subspaces, scorer));
+  EXPECT_EQ(healthy, OracleRank(ds, subspaces, scorer));
   EXPECT_EQ(prepared.cache().num_score_vectors(), subspaces.size());
 }
 
@@ -289,8 +300,9 @@ TEST(PreparedDatasetTest, WarmCacheDoesNotMaskInjectedFaults) {
   // The fault probe runs before the cache lookup, so the armed subspace
   // fails even though its scores are sitting in the cache.
   const DegradedRankingResult warm_degraded =
-      RankWithSubspacesDegraded(prepared, subspaces, scorer,
-                                ScoreAggregation::kAverage, ctx);
+      *RankWithSubspaces(prepared, subspaces, scorer,
+                         ScoreAggregation::kAverage,
+                         ShardedScoringPolicy::kRequireExactMerge, ctx);
   ASSERT_EQ(warm_degraded.failures.size(), 1u);
   EXPECT_EQ(warm_degraded.failures.front().subspace, subspaces[2]);
 
@@ -301,8 +313,9 @@ TEST(PreparedDatasetTest, WarmCacheDoesNotMaskInjectedFaults) {
   RunContext cold_ctx;
   cold_ctx.SetFaultInjector(&cold_injector);
   const DegradedRankingResult cold_degraded =
-      RankWithSubspacesDegraded(ds, subspaces, scorer,
-                                ScoreAggregation::kAverage, cold_ctx);
+      *RankWithSubspaces(PreparedDataset(ds), subspaces, scorer,
+                         ScoreAggregation::kAverage,
+                         ShardedScoringPolicy::kRequireExactMerge, cold_ctx);
   EXPECT_EQ(warm_degraded.scores, cold_degraded.scores);
   EXPECT_EQ(warm_degraded.succeeded, cold_degraded.succeeded);
 }
@@ -319,9 +332,9 @@ TEST(PreparedDatasetTest, DegradedPreparedIdenticalAcrossThreadCounts) {
     injector.FailNthCall("scorer.lof", 2, Status::Internal("injected"));
     RunContext ctx;
     ctx.SetFaultInjector(&injector);
-    const DegradedRankingResult degraded = RankWithSubspacesDegraded(
-        prepared, subspaces, scorer, ScoreAggregation::kAverage, ctx,
-        threads);
+    const DegradedRankingResult degraded = *RankWithSubspaces(
+        prepared, subspaces, scorer, ScoreAggregation::kAverage,
+        ShardedScoringPolicy::kRequireExactMerge, ctx, threads);
     EXPECT_EQ(degraded.failures.size(), 1u);
     EXPECT_EQ(prepared.cache().num_score_vectors(), subspaces.size() - 1);
     results.push_back(degraded.scores);
@@ -395,7 +408,8 @@ TEST(ScoreValidationTest, ReportsAllNonFiniteIndices) {
   const Dataset ds = ClusteredDataset(50, 3, 33);
   const PoisonScorer scorer({3, 17, 41});
   const auto result =
-      scorer.ScoreSubspaceChecked(ds, ds.FullSpace(), RunContext());
+      scorer.ScoreSubspaceChecked(PreparedDataset(ds), ds.FullSpace(),
+                                  RunContext());
   ASSERT_FALSE(result.ok());
   const std::string message = result.status().message();
   EXPECT_NE(message.find("3 non-finite"), std::string::npos) << message;
@@ -408,7 +422,8 @@ TEST(ScoreValidationTest, CapsReportedIndicesAndCountsTheRest) {
   for (std::size_t i = 0; i < 12; ++i) bad.push_back(i * 5);
   const PoisonScorer scorer(bad);
   const auto result =
-      scorer.ScoreSubspaceChecked(ds, ds.FullSpace(), RunContext());
+      scorer.ScoreSubspaceChecked(PreparedDataset(ds), ds.FullSpace(),
+                                  RunContext());
   ASSERT_FALSE(result.ok());
   const std::string message = result.status().message();
   EXPECT_NE(message.find("12 non-finite"), std::string::npos) << message;
@@ -423,7 +438,7 @@ TEST(ScoreValidationTest, PoisonScorerNeverEntersCache) {
   const Dataset ds = ClusteredDataset(40, 3, 37);
   const PoisonScorer scorer({5});
   const PreparedDataset prepared(ds);
-  const auto result = scorer.ScoreSubspacePreparedChecked(
+  const auto result = scorer.ScoreSubspaceChecked(
       prepared, ds.FullSpace(), RunContext());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(prepared.cache().num_score_vectors(), 0u);
@@ -450,7 +465,7 @@ TEST(DeadlineCacheRaceTest, PartialScoreVectorIsRejectedAndNeverCached) {
   const Dataset ds = ClusteredDataset(40, 3, 41);
   const PreparedDataset prepared(ds);
   const TruncatingScorer scorer;
-  const auto result = scorer.ScoreSubspacePreparedChecked(
+  const auto result = scorer.ScoreSubspaceChecked(
       prepared, ds.FullSpace(), RunContext());
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("' returned "),
@@ -459,6 +474,18 @@ TEST(DeadlineCacheRaceTest, PartialScoreVectorIsRejectedAndNeverCached) {
   EXPECT_EQ(prepared.cache().num_score_vectors(), 0u);
   EXPECT_EQ(prepared.cache().FindScores("truncating", ds.FullSpace()),
             nullptr);
+
+  // The multi-shard route rejects it the same way, caching nothing.
+  const ShardedDataset sharded(ds, 2);
+  const auto sharded_result =
+      scorer.ScoreSubspaceChecked(sharded, ds.FullSpace(), RunContext());
+  ASSERT_FALSE(sharded_result.ok());
+  EXPECT_NE(sharded_result.status().message().find("' returned "),
+            std::string::npos)
+      << sharded_result.status().message();
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    EXPECT_EQ(sharded.shard(s).cache().num_score_vectors(), 0u);
+  }
 }
 
 TEST(DeadlineCacheRaceTest, ExpiredDeadlineLeavesCacheEmpty) {
@@ -467,7 +494,7 @@ TEST(DeadlineCacheRaceTest, ExpiredDeadlineLeavesCacheEmpty) {
   const LofScorer scorer({/*min_pts=*/8});
   const RunContext expired =
       RunContext::WithTimeout(std::chrono::milliseconds(-1));
-  const auto dead = scorer.ScoreSubspacePreparedChecked(
+  const auto dead = scorer.ScoreSubspaceChecked(
       prepared, ds.FullSpace(), expired);
   ASSERT_FALSE(dead.ok());
   EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded);
@@ -475,7 +502,7 @@ TEST(DeadlineCacheRaceTest, ExpiredDeadlineLeavesCacheEmpty) {
 
   // The same prepared artifact keeps serving clean contexts, and the now
   // cached vector is byte-identical to a cold computation.
-  const auto healthy = scorer.ScoreSubspacePreparedChecked(
+  const auto healthy = scorer.ScoreSubspaceChecked(
       prepared, ds.FullSpace(), RunContext());
   ASSERT_TRUE(healthy.ok());
   EXPECT_EQ(*healthy, scorer.ScoreSubspace(ds, ds.FullSpace()));
@@ -494,9 +521,10 @@ TEST(DeadlineCacheRaceTest, DeadlineRacingParallelRankingNeverPoisonsCache) {
     const PreparedDataset prepared(ds);
     const RunContext ctx =
         RunContext::WithTimeout(std::chrono::microseconds(300 * trial));
-    (void)RankWithSubspacesDegraded(prepared, subspaces, scorer,
-                                    ScoreAggregation::kAverage, ctx,
-                                    /*num_threads=*/4);
+    (void)RankWithSubspaces(prepared, subspaces, scorer,
+                            ScoreAggregation::kAverage,
+                            ShardedScoringPolicy::kRequireExactMerge, ctx,
+                            /*num_threads=*/4);
     for (const Subspace& s : subspaces) {
       const auto cached = prepared.cache().FindScores(scorer.cache_key(), s);
       if (cached == nullptr) continue;  // raced out before publishing: fine
@@ -533,7 +561,7 @@ TEST(ArtifactCacheBudgetTest, RejectsWhenFullButReturnsIdenticalBits) {
   const auto subspaces = SomeSubspaces();
   const LofScorer scorer({.min_pts = 8});
   const std::vector<double> reference =
-      RankWithSubspaces(ds, subspaces, scorer);
+      OracleRank(ds, subspaces, scorer);
 
   const PreparedDataset prepared(ds);
   prepared.cache().SetByteBudget(1);  // nothing fits

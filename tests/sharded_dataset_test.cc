@@ -13,6 +13,7 @@
 #include "outlier/grid_density.h"
 #include "outlier/lof.h"
 #include "outlier/subspace_ranker.h"
+#include "rank_oracle.h"
 #include "serve/hics_model.h"
 #include "serve/model_io.h"
 
@@ -238,7 +239,7 @@ TEST(ShardedGridScoringTest, MergedGridScoresMatchUnshardedByteForByte) {
       const ShardedDataset sharded(ds, shards);
       for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         const auto scores = RankWithSubspacesSharded(
-            sharded, subspaces, grid, ScoreAggregation::kAverage,
+            sharded, Scored(subspaces), grid, ScoreAggregation::kAverage,
             ShardedScoringPolicy::kRequireExactMerge, threads);
         ASSERT_TRUE(scores.ok());
         EXPECT_EQ(*scores, reference)
@@ -257,7 +258,7 @@ TEST(ShardedScoringPolicyTest, ExactMergeRequirementRejectsKnnScorers) {
   const ShardedDataset sharded(ds, 2);
   const LofScorer lof({.min_pts = 8});
   const auto result = RankWithSubspacesSharded(
-      sharded, {Subspace{0, 1}}, lof, ScoreAggregation::kAverage,
+      sharded, Scored({Subspace{0, 1}}), lof, ScoreAggregation::kAverage,
       ShardedScoringPolicy::kRequireExactMerge);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -266,6 +267,28 @@ TEST(ShardedScoringPolicyTest, ExactMergeRequirementRejectsKnnScorers) {
   EXPECT_NE(result.status().message().find("kAllowApproximation"),
             std::string::npos)
       << result.status().message();
+}
+
+TEST(ShardedScoringPolicyTest, OneShardPlaneNeedsNoConsent) {
+  // One shard is the unsharded estimator for every scorer: LOF under
+  // kRequireExactMerge ranks exactly like the Dataset oracle at S = 1 and
+  // is still refused at S = 2.
+  const Dataset ds = ClusteredDataset(120, 4, 22);
+  const LofScorer lof({.min_pts = 8});
+  const std::vector<Subspace> subspaces = {Subspace{0, 1}, Subspace{2, 3}};
+  const ShardedDataset one_shard(ds, 1);
+  const auto ranked = RankWithSubspacesSharded(
+      one_shard, Scored(subspaces), lof, ScoreAggregation::kAverage,
+      ShardedScoringPolicy::kRequireExactMerge);
+  ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+  EXPECT_EQ(*ranked, OracleRank(ds, subspaces, lof));
+
+  const ShardedDataset two_shards(ds, 2);
+  const auto refused = RankWithSubspacesSharded(
+      two_shards, Scored(subspaces), lof, ScoreAggregation::kAverage,
+      ShardedScoringPolicy::kRequireExactMerge);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedScoringPolicyTest, ApproximationConcatenatesPerShardScores) {
@@ -285,7 +308,7 @@ TEST(ShardedScoringPolicyTest, ApproximationConcatenatesPerShardScores) {
   }
 
   const auto scores = RankWithSubspacesSharded(
-      sharded, {subspace}, lof, ScoreAggregation::kAverage,
+      sharded, Scored({subspace}), lof, ScoreAggregation::kAverage,
       ShardedScoringPolicy::kAllowApproximation);
   ASSERT_TRUE(scores.ok());
   EXPECT_EQ(*scores, expected);

@@ -16,10 +16,10 @@
 #include "core/hics.h"
 #include "engine/prepared_dataset.h"
 #include "engine/sharded_dataset.h"
-#include "engine/streaming_search.h"
 #include "outlier/grid_density.h"
 #include "outlier/lof.h"
 #include "outlier/subspace_ranker.h"
+#include "rank_oracle.h"
 
 namespace hics {
 namespace {
@@ -296,19 +296,37 @@ TEST_P(StreamingIdentityTest, SlidesMatchColdRebuildAcrossThreadCounts) {
             }
           }
         }
+        const std::vector<Subspace> cold_subspaces = SubspacesOf(*cold_search);
         EXPECT_EQ(*streamed_rank,
-                  RankWithSubspaces(cold, *cold_search, grid_scorer,
+                  RankWithSubspaces(cold, cold_subspaces, grid_scorer,
                                     ScoreAggregation::kAverage, threads));
         // Neighbor-based scorers take the prepared path too when the
-        // plane is unsharded.
-        const auto streamed_lof = RankWithSubspaces(
-            streaming, *streamed_search, lof_scorer,
-            ScoreAggregation::kAverage,
-            ShardedScoringPolicy::kAllowApproximation, threads);
-        ASSERT_TRUE(streamed_lof.ok());
-        EXPECT_EQ(*streamed_lof,
-                  RankWithSubspaces(cold, *cold_search, lof_scorer,
-                                    ScoreAggregation::kAverage, threads));
+        // plane is unsharded — under either policy, since one shard is
+        // the unsharded estimator.
+        const std::vector<double> cold_lof =
+            RankWithSubspaces(cold, cold_subspaces, lof_scorer,
+                              ScoreAggregation::kAverage, threads);
+        for (const ShardedScoringPolicy policy :
+             {ShardedScoringPolicy::kAllowApproximation,
+              ShardedScoringPolicy::kRequireExactMerge}) {
+          const auto streamed_lof = RankWithSubspaces(
+              streaming, *streamed_search, lof_scorer,
+              ScoreAggregation::kAverage, policy, threads);
+          ASSERT_TRUE(streamed_lof.ok());
+          EXPECT_EQ(*streamed_lof, cold_lof);
+        }
+        // The static one-shard plane ranks the same bytes for both
+        // scorers, without approximation consent.
+        const auto one_shard_grid = RankWithSubspaces(
+            one_shard, *cold_search, grid_scorer, ScoreAggregation::kAverage,
+            ShardedScoringPolicy::kRequireExactMerge, threads);
+        ASSERT_TRUE(one_shard_grid.ok());
+        EXPECT_EQ(*one_shard_grid, *streamed_rank);
+        const auto one_shard_lof = RankWithSubspaces(
+            one_shard, *cold_search, lof_scorer, ScoreAggregation::kAverage,
+            ShardedScoringPolicy::kRequireExactMerge, threads);
+        ASSERT_TRUE(one_shard_lof.ok());
+        EXPECT_EQ(*one_shard_lof, cold_lof);
       } else {
         const ShardedDataset cold(cold_ds, shards, threads);
         ASSERT_EQ(cold.num_shards(), streaming.num_shards());
@@ -342,7 +360,7 @@ TEST(StreamingIdentityWarmTest, RepeatQueriesAfterASlideHitAndAgree) {
 
   ASSERT_TRUE(streaming.Slide(4, InteriorRows(rng, 4, d)).ok());
   const auto first =
-      RankWithSubspaces(streaming, subspaces, scorer,
+      RankWithSubspaces(streaming, Scored(subspaces), scorer,
                         ScoreAggregation::kAverage,
                         ShardedScoringPolicy::kRequireExactMerge, 2);
   ASSERT_TRUE(first.ok());
@@ -351,7 +369,7 @@ TEST(StreamingIdentityWarmTest, RepeatQueriesAfterASlideHitAndAgree) {
     hits_before += streaming.shard_cache_stats(s).hits();
   }
   const auto second =
-      RankWithSubspaces(streaming, subspaces, scorer,
+      RankWithSubspaces(streaming, Scored(subspaces), scorer,
                         ScoreAggregation::kAverage,
                         ShardedScoringPolicy::kRequireExactMerge, 2);
   ASSERT_TRUE(second.ok());
@@ -382,7 +400,7 @@ TEST(StreamingShardReuseTest, AlignedSlideRebuildsOnlyTheNewSlot) {
   // table + score vector each).
   const LofScorer scorer({.min_pts = 4});
   const std::vector<Subspace> subspaces = {Subspace{0, 1}, Subspace{1, 2}};
-  ASSERT_TRUE(RankWithSubspaces(streaming, subspaces, scorer,
+  ASSERT_TRUE(RankWithSubspaces(streaming, Scored(subspaces), scorer,
                                 ScoreAggregation::kAverage,
                                 ShardedScoringPolicy::kAllowApproximation, 2)
                   .ok());
@@ -408,7 +426,7 @@ TEST(StreamingShardReuseTest, AlignedSlideRebuildsOnlyTheNewSlot) {
 
   // Re-rank: surviving slots answer purely from their caches (no new
   // misses); only the rebuilt slot computes.
-  ASSERT_TRUE(RankWithSubspaces(streaming, subspaces, scorer,
+  ASSERT_TRUE(RankWithSubspaces(streaming, Scored(subspaces), scorer,
                                 ScoreAggregation::kAverage,
                                 ShardedScoringPolicy::kAllowApproximation, 2)
                   .ok());
@@ -427,6 +445,51 @@ TEST(StreamingShardReuseTest, AlignedSlideRebuildsOnlyTheNewSlot) {
             stats_before[0].evicted_artifacts);
   EXPECT_GT(rebuilt.invalidated_bytes, stats_before[0].invalidated_bytes);
   EXPECT_GT(rebuilt.misses(), stats_before[0].misses());
+}
+
+TEST(StreamingShardReuseTest, OneShardWindowGrowsIntoRealSlots) {
+  // While the N/2 clamp holds the window at one shard, its shard is the
+  // window artifact and the slot keeps bookkeeping only (no cache of its
+  // own). Growing past the clamp must build real slots — also for a slot
+  // whose (start, length) tag equals the old one-shard slot's.
+  Rng rng(45);
+  const std::size_t d = 3;
+  StreamingDataset streaming(d, {.capacity = 12, .num_shards = 2});
+  ASSERT_TRUE(streaming.Admit(InteriorRows(rng, 3, d)).ok());
+  ASSERT_EQ(streaming.num_shards(), 1u);
+  EXPECT_EQ(&streaming.shard(0), &streaming.prepared());
+
+  GridDensityParams grid_params;
+  grid_params.bins_per_dim = 4;
+  const GridDensityScorer scorer(grid_params);
+  const std::vector<Subspace> subspaces = {Subspace{0, 1}, Subspace{1, 2}};
+  ASSERT_TRUE(RankWithSubspaces(streaming, Scored(subspaces), scorer).ok());
+  const ArtifactCacheStats idle = streaming.shard_cache_stats(0);
+  EXPECT_EQ(idle.hits(), 0u);
+  EXPECT_EQ(idle.misses(), 0u);
+  EXPECT_EQ(idle.approx_bytes, 0u);
+  EXPECT_EQ(idle.evicted_artifacts, 0u);
+  EXPECT_GT(streaming.window_cache_stats().misses(), 0u);
+
+  // 3 -> 6 rows: two shards of 3, the first tagged like the old slot.
+  ASSERT_TRUE(streaming.Admit(InteriorRows(rng, 3, d)).ok());
+  ASSERT_EQ(streaming.num_shards(), 2u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(streaming.shard(s).num_objects(), 3u);
+    EXPECT_EQ(streaming.shard_content_epoch(s), streaming.epoch());
+  }
+  const auto streamed = RankWithSubspaces(
+      streaming, Scored(subspaces), scorer, ScoreAggregation::kAverage,
+      ShardedScoringPolicy::kRequireExactMerge, 2);
+  ASSERT_TRUE(streamed.ok());
+  const Dataset cold_ds = streaming.window();
+  const ShardedDataset cold(cold_ds, 2);
+  const auto colded = RankWithSubspacesSharded(
+      cold, Scored(subspaces), scorer, ScoreAggregation::kAverage,
+      ShardedScoringPolicy::kRequireExactMerge, 2);
+  ASSERT_TRUE(colded.ok());
+  EXPECT_EQ(*streamed, *colded);
+  EXPECT_GT(streaming.shard_cache_stats(0).misses(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,14 +513,14 @@ TEST(StreamingGridCarryTest, RangeStableSlideCarriesTheWindowGrid) {
   const GridDensityScorer scorer(grid_params);
   const std::vector<Subspace> subspaces = {Subspace{0, 1}};
 
-  ASSERT_TRUE(RankWithSubspaces(streaming, subspaces, scorer).ok());
+  ASSERT_TRUE(RankWithSubspaces(streaming, Scored(subspaces), scorer).ok());
   ArtifactCacheStats stats = streaming.window_cache_stats();
   EXPECT_EQ(stats.grid_misses, 1u);
   EXPECT_EQ(stats.grid_hits, 0u);
 
   // Interior slide: ranges survive bit-for-bit => the grid is carried.
   ASSERT_TRUE(streaming.Slide(4, InteriorRows(rng, 4, d)).ok());
-  const auto ranked = RankWithSubspaces(streaming, subspaces, scorer);
+  const auto ranked = RankWithSubspaces(streaming, Scored(subspaces), scorer);
   ASSERT_TRUE(ranked.ok());
   stats = streaming.window_cache_stats();
   EXPECT_EQ(stats.grid_misses, 1u);  // never rebuilt
@@ -472,7 +535,7 @@ TEST(StreamingGridCarryTest, RangeStableSlideCarriesTheWindowGrid) {
   // no longer match — the stale grid is evicted, the next rank re-bins.
   std::vector<double> outlier(d, 0.99);
   ASSERT_TRUE(streaming.Slide(1, {outlier}).ok());
-  ASSERT_TRUE(RankWithSubspaces(streaming, subspaces, scorer).ok());
+  ASSERT_TRUE(RankWithSubspaces(streaming, Scored(subspaces), scorer).ok());
   stats = streaming.window_cache_stats();
   EXPECT_EQ(stats.grid_misses, 2u);  // rebuilt against the new ranges
   EXPECT_GT(stats.evicted_artifacts, 0u);
@@ -493,7 +556,7 @@ TEST(StreamingFaultTest, FailedSlideLeavesThePlaneServingTheOldWindow) {
   grid_params.bins_per_dim = 5;
   const GridDensityScorer scorer(grid_params);
   const std::vector<Subspace> subspaces = {Subspace{0, 1}, Subspace{1, 2}};
-  const auto before = RankWithSubspaces(streaming, subspaces, scorer);
+  const auto before = RankWithSubspaces(streaming, Scored(subspaces), scorer);
   ASSERT_TRUE(before.ok());
 
   FaultInjector injector;
@@ -509,7 +572,7 @@ TEST(StreamingFaultTest, FailedSlideLeavesThePlaneServingTheOldWindow) {
   EXPECT_EQ(streaming.size(), 20u);
 
   // The degraded plane still answers — byte-identically to before.
-  const auto after = RankWithSubspaces(streaming, subspaces, scorer);
+  const auto after = RankWithSubspaces(streaming, Scored(subspaces), scorer);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*before, *after);
 
@@ -523,10 +586,10 @@ TEST(StreamingFaultTest, FailedSlideLeavesThePlaneServingTheOldWindow) {
   const auto cold_ds = streaming.window();
   const ShardedDataset cold(cold_ds, 2);
   const auto streamed = RankWithSubspaces(
-      streaming, subspaces, scorer, ScoreAggregation::kAverage,
+      streaming, Scored(subspaces), scorer, ScoreAggregation::kAverage,
       ShardedScoringPolicy::kRequireExactMerge, 2);
   const auto colded = RankWithSubspacesSharded(
-      cold, subspaces, scorer, ScoreAggregation::kAverage,
+      cold, Scored(subspaces), scorer, ScoreAggregation::kAverage,
       ShardedScoringPolicy::kRequireExactMerge, 2);
   ASSERT_TRUE(streamed.ok());
   ASSERT_TRUE(colded.ok());
@@ -597,7 +660,7 @@ TEST(StreamingFaultTest, RandomFaultSequenceNeverDivergesFromReplay) {
     ExpectWindowEquals(streaming, reference.AsDataset());
     if (streaming.size() >= 6) {
       const auto streamed = RankWithSubspaces(
-          streaming, subspaces, scorer, ScoreAggregation::kAverage,
+          streaming, Scored(subspaces), scorer, ScoreAggregation::kAverage,
           ShardedScoringPolicy::kRequireExactMerge, 2);
       ASSERT_TRUE(streamed.ok());
       const Dataset cold_ds = reference.AsDataset();
@@ -607,7 +670,7 @@ TEST(StreamingFaultTest, RandomFaultSequenceNeverDivergesFromReplay) {
       } else {
         const ShardedDataset cold(cold_ds, 2);
         const auto colded = RankWithSubspacesSharded(
-            cold, subspaces, scorer, ScoreAggregation::kAverage,
+            cold, Scored(subspaces), scorer, ScoreAggregation::kAverage,
             ShardedScoringPolicy::kRequireExactMerge, 2);
         ASSERT_TRUE(colded.ok());
         EXPECT_EQ(*streamed, *colded);

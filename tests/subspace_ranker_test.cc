@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "common/random.h"
+#include "common/run_context.h"
+#include "engine/sharded_dataset.h"
+#include "outlier/grid_density.h"
 #include "outlier/lof.h"
+#include "rank_oracle.h"
 
 namespace hics {
 namespace {
@@ -67,7 +76,7 @@ TEST(RankWithSubspacesTest, CumulativeScoringFindsBothOutliers) {
   LofScorer lof({.min_pts = 12});
   const std::vector<Subspace> subspaces = {Subspace({0, 1}),
                                            Subspace({2, 3})};
-  const auto scores = RankWithSubspaces(ds, subspaces, lof);
+  const auto scores = RankWithSubspaces(PreparedDataset(ds), subspaces, lof);
   ASSERT_EQ(scores.size(), ds.num_objects());
   // Both implanted outliers must outrank every regular object.
   double max_regular = 0.0;
@@ -81,7 +90,8 @@ TEST(RankWithSubspacesTest, CumulativeScoringFindsBothOutliers) {
 TEST(RankWithSubspacesTest, EmptySubspaceListFallsBackToFullSpace) {
   Dataset ds = TwoSubspaceOutliers(8);
   LofScorer lof({.min_pts = 12});
-  const auto fallback = RankWithSubspaces(ds, std::vector<Subspace>{}, lof);
+  const auto fallback =
+      RankWithSubspaces(PreparedDataset(ds), std::vector<Subspace>{}, lof);
   const auto full = lof.ScoreFullSpace(ds);
   EXPECT_EQ(fallback, full);
 }
@@ -92,8 +102,8 @@ TEST(RankWithSubspacesTest, ScoredOverloadIgnoresScores) {
   const std::vector<ScoredSubspace> scored = {{Subspace({0, 1}), 0.9},
                                               {Subspace({2, 3}), 0.1}};
   const std::vector<Subspace> plain = {Subspace({0, 1}), Subspace({2, 3})};
-  EXPECT_EQ(RankWithSubspaces(ds, scored, lof),
-            RankWithSubspaces(ds, plain, lof));
+  EXPECT_EQ(*RankWithSubspaces(PreparedDataset(ds), scored, lof),
+            RankWithSubspaces(PreparedDataset(ds), plain, lof));
 }
 
 TEST(RankWithSubspacesTest, IrrelevantSubspacesDiluteTheSignal) {
@@ -113,8 +123,8 @@ TEST(RankWithSubspacesTest, IrrelevantSubspacesDiluteTheSignal) {
   for (std::size_t j = 4; j + 1 < 12; j += 2) {
     diluted.push_back(Subspace({j, j + 1}));
   }
-  const auto good = RankWithSubspaces(noisy, relevant, lof);
-  const auto blurred = RankWithSubspaces(noisy, diluted, lof);
+  const auto good = RankWithSubspaces(PreparedDataset(noisy), relevant, lof);
+  const auto blurred = RankWithSubspaces(PreparedDataset(noisy), diluted, lof);
 
   auto margin = [](const std::vector<double>& scores) {
     double max_regular = 0.0;
@@ -124,6 +134,148 @@ TEST(RankWithSubspacesTest, IrrelevantSubspacesDiluteTheSignal) {
     return std::min(scores[200], scores[201]) - max_regular;
   };
   EXPECT_GT(margin(good), margin(blurred));
+}
+
+// ---------------------------------------------------------------------------
+// The one rank body on a multi-shard plane: the context's fault site,
+// cancellation, deadline, and score validation hold there exactly as on
+// the prepared plane.
+
+std::vector<Subspace> FiveSubspaces() {
+  return {Subspace{0, 1}, Subspace{2, 3}, Subspace{0, 2}, Subspace{1, 3},
+          Subspace{0, 1, 2}};
+}
+
+TEST(RankWithSubspacesPlaneTest, FaultOnFourShardPlaneDropsExactlyThatMember) {
+  const Dataset ds = TwoSubspaceOutliers(21);
+  const GridDensityScorer grid({.bins_per_dim = 6});
+  const std::vector<Subspace> subspaces = FiveSubspaces();
+  for (std::size_t k = 1; k <= subspaces.size(); ++k) {
+    std::vector<Subspace> survivors = subspaces;
+    survivors.erase(survivors.begin() + static_cast<std::ptrdiff_t>(k - 1));
+    const std::vector<double> expected = OracleRank(ds, survivors, grid);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{4}}) {
+      const ShardedDataset sharded(ds, 4);
+      ASSERT_EQ(sharded.num_shards(), 4u);
+      FaultInjector injector;
+      injector.FailNthCall("scorer.grid-density", k,
+                           Status::Internal("injected"));
+      RunContext ctx;
+      ctx.SetFaultInjector(&injector);
+      const auto ranked = RankWithSubspaces(
+          sharded, subspaces, grid, ScoreAggregation::kAverage,
+          ShardedScoringPolicy::kRequireExactMerge, ctx, threads);
+      ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+      EXPECT_EQ(ranked->attempted, subspaces.size());
+      EXPECT_EQ(ranked->succeeded, subspaces.size() - 1);
+      ASSERT_EQ(ranked->failures.size(), 1u);
+      EXPECT_EQ(ranked->failures.front().subspace, subspaces[k - 1])
+          << "k=" << k << " threads=" << threads;
+      EXPECT_EQ(ranked->scores, expected)
+          << "k=" << k << " threads=" << threads;
+      EXPECT_FALSE(ranked->cancelled);
+    }
+  }
+}
+
+/// Grid-density scoring that requests cancellation from inside its
+/// `cancel_on`-th sharded call (the call itself still completes).
+class CancellingShardedScorer : public OutlierScorer {
+ public:
+  CancellingShardedScorer(const GridDensityScorer& inner, const RunContext& ctx,
+                          int cancel_on)
+      : inner_(inner), ctx_(ctx), cancel_on_(cancel_on) {}
+  std::vector<double> ScoreSubspace(const Dataset& dataset,
+                                    const Subspace& subspace) const override {
+    return inner_.ScoreSubspace(dataset, subspace);
+  }
+  bool SupportsExactShardedMerge() const override { return true; }
+  std::vector<double> ScoreSubspaceSharded(
+      const ShardPlane& plane, const Subspace& subspace) const override {
+    if (++calls_ == cancel_on_) ctx_.RequestCancellation();
+    return inner_.ScoreSubspaceSharded(plane, subspace);
+  }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  const GridDensityScorer& inner_;
+  const RunContext& ctx_;
+  const int cancel_on_;
+  mutable int calls_ = 0;
+};
+
+TEST(RankWithSubspacesPlaneTest, CancelOnFourShardPlaneKeepsThePrefix) {
+  const Dataset ds = TwoSubspaceOutliers(22);
+  const GridDensityScorer grid({.bins_per_dim = 6});
+  const std::vector<Subspace> subspaces = FiveSubspaces();
+  const ShardedDataset sharded(ds, 4);
+  RunContext ctx;
+  const CancellingShardedScorer scorer(grid, ctx, /*cancel_on=*/3);
+  const auto ranked =
+      RankWithSubspaces(sharded, subspaces, scorer, ScoreAggregation::kAverage,
+                        ShardedScoringPolicy::kRequireExactMerge, ctx);
+  ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+  EXPECT_TRUE(ranked->cancelled);
+  EXPECT_FALSE(ranked->deadline_exceeded);
+  EXPECT_EQ(ranked->attempted, 3u);
+  EXPECT_EQ(ranked->succeeded, 3u);
+  EXPECT_TRUE(ranked->failures.empty());
+  const std::vector<Subspace> prefix(subspaces.begin(), subspaces.begin() + 3);
+  EXPECT_EQ(ranked->scores, OracleRank(ds, prefix, grid));
+}
+
+TEST(RankWithSubspacesPlaneTest, ExpiredDeadlineOnFourShardPlaneScoresNothing) {
+  const Dataset ds = TwoSubspaceOutliers(23);
+  const GridDensityScorer grid({.bins_per_dim = 6});
+  const ShardedDataset sharded(ds, 4);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const auto ranked = RankWithSubspaces(
+        sharded, FiveSubspaces(), grid, ScoreAggregation::kAverage,
+        ShardedScoringPolicy::kRequireExactMerge,
+        RunContext::WithTimeout(std::chrono::milliseconds(-1)), threads);
+    ASSERT_TRUE(ranked.ok());
+    EXPECT_TRUE(ranked->deadline_exceeded);
+    EXPECT_EQ(ranked->attempted, 0u);
+    EXPECT_TRUE(ranked->scores.empty());
+  }
+}
+
+/// Scores every object 1.0 except object 0, which is NaN.
+class NanScorer : public OutlierScorer {
+ public:
+  std::vector<double> ScoreSubspace(const Dataset& dataset,
+                                    const Subspace&) const override {
+    std::vector<double> scores(dataset.num_objects(), 1.0);
+    scores[0] = std::numeric_limits<double>::quiet_NaN();
+    return scores;
+  }
+  std::string name() const override { return "nan"; }
+};
+
+TEST(RankWithSubspacesPlaneTest, NonFiniteScoresAreATypedErrorFromResultFaces) {
+  const Dataset ds = TwoSubspaceOutliers(24);
+  const NanScorer scorer;
+  const ShardedDataset two_shards(ds, 2);
+  const ShardedDataset one_shard(ds, 1);
+  for (const ShardPlane* plane : {static_cast<const ShardPlane*>(&two_shards),
+                                  static_cast<const ShardPlane*>(&one_shard)}) {
+    const auto ranked = RankWithSubspaces(
+        *plane, Scored({Subspace{0, 1}}), scorer, ScoreAggregation::kAverage,
+        ShardedScoringPolicy::kAllowApproximation);
+    ASSERT_FALSE(ranked.ok()) << "shards=" << plane->num_shards();
+    EXPECT_EQ(ranked.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(ranked.status().message().find("{0, 1}"), std::string::npos)
+        << ranked.status().message();
+  }
+}
+
+TEST(RankWithSubspacesDeathTest, NonFiniteScoresCheckFailNamingTheSubspace) {
+  const Dataset ds = TwoSubspaceOutliers(25);
+  const NanScorer scorer;
+  EXPECT_DEATH(RankWithSubspaces(PreparedDataset(ds),
+                                 std::vector<Subspace>{Subspace{2, 3}}, scorer),
+               "non-finite.*\\{2, 3\\}");
 }
 
 TEST(ChooseScoringBackendTest, GridTierTakesOverAtLargeN) {
