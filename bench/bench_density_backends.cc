@@ -302,6 +302,8 @@ int Run() {
       .Field("grid_min_objects", static_cast<std::uint64_t>(32768))
       .Field("kd_tree_min_objects", static_cast<std::uint64_t>(256))
       .Field("kd_tree_max_dims", static_cast<std::uint64_t>(4))
+      .Field("kd_tree_mid_min_objects", static_cast<std::uint64_t>(1000))
+      .Field("kd_tree_mid_max_dims", static_cast<std::uint64_t>(5))
       .Field("kd_tree_extended_min_objects", static_cast<std::uint64_t>(4000))
       .Field("kd_tree_extended_max_dims", static_cast<std::uint64_t>(6))
       .EndObject()

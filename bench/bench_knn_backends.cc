@@ -73,10 +73,10 @@ struct Cell {
 
 int Run() {
   const std::vector<std::size_t> sizes = {500, 1000, 2000, 4000};
-  const std::vector<std::size_t> dims = {1, 2, 3, 4, 6, 8};
+  const std::vector<std::size_t> dims = {1, 2, 3, 4, 5, 6, 8};
   std::vector<Cell> cells;
 
-  std::printf("all-kNN wall clock (k = %zu, median of 3, simd tier %s), "
+  std::printf("all-kNN wall clock (k = %zu, median of 7, simd tier %s), "
               "seconds\n",
               kK, simd::SimdTierName(simd::ActiveTier()));
   std::printf("%6s %4s %14s %14s %14s %14s %s\n", "N", "|S|", "brute/query",
@@ -88,7 +88,10 @@ int Run() {
       // Build cost is part of each measurement on purpose: the ranking
       // stage builds one fresh index per subspace, so the selector must
       // weigh construction too.
-      const int runs = 3;
+      // Seven runs: the |S| = 5 cells sit within ~10-25% of the
+      // crossover, where a median of three still flipped between runs on
+      // a shared host.
+      const int runs = 7;
       KnnResultTable table;
       const double per_query = MedianSeconds(runs, [&] {
         const auto s = MakeBruteForceSearcher(ds, full);
@@ -165,11 +168,14 @@ int Run() {
   json.EndArray();
   // The constants ChooseKnnBackend pins from this record (see
   // src/outlier/subspace_ranker.cc): kd-tree for |S| <= max_dims once
-  // N >= min_objects, stretching to extended_max_dims at
-  // N >= extended_min_objects; blocked brute force otherwise.
+  // N >= min_objects, stretching to mid_max_dims at N >= mid_min_objects
+  // and to extended_max_dims at N >= extended_min_objects; blocked brute
+  // force otherwise.
   json.BeginObject("selector")
       .Field("kd_tree_min_objects", static_cast<std::uint64_t>(256))
       .Field("kd_tree_max_dims", static_cast<std::uint64_t>(4))
+      .Field("kd_tree_mid_min_objects", static_cast<std::uint64_t>(1000))
+      .Field("kd_tree_mid_max_dims", static_cast<std::uint64_t>(5))
       .Field("kd_tree_extended_min_objects", static_cast<std::uint64_t>(4000))
       .Field("kd_tree_extended_max_dims", static_cast<std::uint64_t>(6))
       .EndObject()

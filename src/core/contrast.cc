@@ -37,29 +37,30 @@ ContrastEstimator::ContrastEstimator(const Dataset& dataset,
 }
 
 double ContrastEstimator::IterationDeviation(const Subspace& subspace,
-                                             Rng* rng,
+                                             std::size_t block, Rng* rng,
                                              ContrastScratch* scratch) const {
   // Degenerate slices (empty conditional sample) contribute deviation 0;
   // the test implementations handle small samples the same way.
   if (params_.use_rank_space_kernel) {
-    sampler_.DrawSelection(subspace, params_.alpha, rng, &scratch->slice,
-                           &scratch->selection);
-    const std::size_t attribute = scratch->selection.test_attribute;
+    SliceSelection& selection = scratch->selection;
+    sampler_.DrawSelection(subspace, block, rng, &scratch->slice, &selection);
+    const std::size_t attribute = selection.test_attribute;
     stats::SelectionView view;
     view.marginal_sorted = prepared_->SortedColumn(attribute);
     view.marginal_mean = prepared_->MarginalMean(attribute);
     view.marginal_variance = prepared_->MarginalVariance(attribute);
     view.column = prepared_->dataset().Column(attribute);
     view.sorted_order = prepared_->sorted_index().SortedOrder(attribute);
-    view.stamps = scratch->slice.stamps;
-    view.selected_stamp = scratch->selection.selected_stamp;
-    return test_.DeviationFromSelection(view, &scratch->sorted_conditional);
+    view.condition_ranks = selection.condition_ranks;
+    view.window_starts = selection.window_starts;
+    view.window_block = selection.block;
+    return test_.DeviationFromSelection(view, &scratch->deviation);
   }
   sampler_.Draw(subspace, params_.alpha, rng, &scratch->slice,
                 &scratch->draw);
   return test_.DeviationPresortedMarginal(
       prepared_->SortedColumn(scratch->draw.test_attribute),
-      scratch->draw.conditional_sample, &scratch->sorted_conditional);
+      scratch->draw.conditional_sample, &scratch->deviation.values);
 }
 
 double ContrastEstimator::Contrast(const Subspace& subspace, Rng* rng) const {
@@ -72,10 +73,11 @@ double ContrastEstimator::Contrast(const Subspace& subspace, Rng* rng,
   HICS_CHECK(rng != nullptr);
   HICS_CHECK(scratch != nullptr);
   HICS_CHECK_GE(subspace.size(), 2u);
+  const std::size_t block = sampler_.BlockSize(subspace.size(), params_.alpha);
   double deviation_sum = 0.0;
   for (std::size_t iteration = 0; iteration < params_.num_iterations;
        ++iteration) {
-    deviation_sum += IterationDeviation(subspace, rng, scratch);
+    deviation_sum += IterationDeviation(subspace, block, rng, scratch);
   }
   return deviation_sum / static_cast<double>(params_.num_iterations);
 }
@@ -87,6 +89,7 @@ Result<double> ContrastEstimator::Contrast(const Subspace& subspace, Rng* rng,
   HICS_CHECK(rng != nullptr);
   HICS_CHECK(scratch != nullptr);
   HICS_CHECK_GE(subspace.size(), 2u);
+  const std::size_t block = sampler_.BlockSize(subspace.size(), params_.alpha);
   double deviation_sum = 0.0;
   for (std::size_t iteration = 0; iteration < params_.num_iterations;
        ++iteration) {
@@ -96,7 +99,7 @@ Result<double> ContrastEstimator::Contrast(const Subspace& subspace, Rng* rng,
             ? 0
             : (fault_ordinal - 1) * params_.num_iterations + iteration + 1;
     HICS_RETURN_NOT_OK(ctx.InjectFault("contrast.slice", slice_ordinal));
-    deviation_sum += IterationDeviation(subspace, rng, scratch);
+    deviation_sum += IterationDeviation(subspace, block, rng, scratch);
   }
   return deviation_sum / static_cast<double>(params_.num_iterations);
 }

@@ -27,7 +27,7 @@ struct ContrastParams {
   /// Target selection ratio alpha in (0, 1); the expected test-statistic
   /// size scales with N * alpha. Paper default 0.1.
   double alpha = 0.1;
-  /// Evaluate deviations through the rank-space kernel (epoch-stamped
+  /// Evaluate deviations through the rank-space kernel (rank-window
   /// selection + TwoSampleTest::DeviationFromSelection; DESIGN.md §5d).
   /// false = the materializing gather(+sort) path, kept as the reference
   /// oracle; both produce bit-identical contrast scores
@@ -39,14 +39,15 @@ struct ContrastParams {
 };
 
 /// Reusable working storage for one worker thread's contrast estimation:
-/// the slice sampler's scratch, the draw output buffer, and the deviation
-/// function's conditional-sample sort buffer. Capacity persists across
-/// subspaces, making the Monte Carlo loop allocation-free at steady state.
+/// the slice sampler's scratch, the draw and selection outputs, and the
+/// deviation function's sample buffers (also the oracle path's sort
+/// buffer). Capacity persists across subspaces, making the Monte Carlo
+/// loop allocation-free at steady state.
 struct ContrastScratch {
   SliceScratch slice;
   SliceDraw draw;
   SliceSelection selection;
-  std::vector<double> sorted_conditional;
+  stats::SelectionScratch deviation;
 };
 
 /// Estimates the contrast (Definition 5) of subspaces of one dataset:
@@ -114,8 +115,9 @@ class ContrastEstimator {
  private:
   // Deviation of one Monte Carlo draw through the configured kernel
   // (rank-space or materializing oracle); shared by all Contrast overloads.
-  double IterationDeviation(const Subspace& subspace, Rng* rng,
-                            ContrastScratch* scratch) const;
+  // `block` is the subspace's slice block size, resolved once per call.
+  double IterationDeviation(const Subspace& subspace, std::size_t block,
+                            Rng* rng, ContrastScratch* scratch) const;
 
   // Set only by the self-contained Dataset constructor; keeps the private
   // PreparedDataset alive for `prepared_`.

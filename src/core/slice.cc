@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/slice_epoch.h"
-
 namespace hics {
 
 SliceSampler::SliceSampler(const Dataset& dataset,
@@ -80,7 +78,7 @@ void SliceSampler::Draw(const Subspace& subspace, double alpha, Rng* rng,
   out->selected_count = out->conditional_sample.size();
 }
 
-void SliceSampler::DrawSelection(const Subspace& subspace, double alpha,
+void SliceSampler::DrawSelection(const Subspace& subspace, std::size_t block,
                                  Rng* rng, SliceScratch* scratch,
                                  SliceSelection* out) const {
   HICS_CHECK(rng != nullptr);
@@ -90,9 +88,11 @@ void SliceSampler::DrawSelection(const Subspace& subspace, double alpha,
       << "a one-dimensional subspace has no notion of contrast";
   const std::size_t n = dataset_.num_objects();
   out->test_attribute = 0;
-  out->selected_stamp = 0;
-  out->num_conditions = 0;
+  out->block = 0;
+  out->condition_ranks.clear();
+  out->window_starts.clear();
   if (n == 0) return;
+  HICS_CHECK(block >= 1 && block <= n) << "block " << block << " of " << n;
 
   // Identical RNG consumption to Draw: one shuffle, then one block-start
   // draw per condition. A shared rng therefore produces the same slice
@@ -101,21 +101,15 @@ void SliceSampler::DrawSelection(const Subspace& subspace, double alpha,
   attrs.assign(subspace.begin(), subspace.end());
   rng->Shuffle(&attrs);
   out->test_attribute = attrs.back();
-
-  const std::size_t block = BlockSize(subspace.size(), alpha);
-  const std::size_t num_conditions = attrs.size() - 1;
-  out->num_conditions = num_conditions;
-  const std::uint32_t base = internal::BeginSelectionEpoch(
-      &scratch->stamps, &scratch->epoch, n, num_conditions);
-  for (std::size_t c = 0; c < num_conditions; ++c) {
-    const std::size_t attribute = attrs[c];
-    const std::size_t max_start = n - block;
+  // The index guarantees n < 2^32, so block and every start fit uint32.
+  out->block = static_cast<std::uint32_t>(block);
+  const std::size_t max_start = n - block;
+  for (std::size_t c = 0; c + 1 < attrs.size(); ++c) {
     const std::size_t start =
         max_start == 0 ? 0 : rng->UniformIndex(max_start + 1);
-    internal::StampCondition(&scratch->stamps, base, c,
-                             index_.Block(attribute, start, block));
+    out->condition_ranks.push_back(index_.Ranks(attrs[c]).data());
+    out->window_starts.push_back(static_cast<std::uint32_t>(start));
   }
-  out->selected_stamp = scratch->epoch;
 }
 
 }  // namespace hics

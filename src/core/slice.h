@@ -33,28 +33,31 @@ struct SliceScratch {
   std::vector<std::uint16_t> selected;
   /// Attribute permutation of the subspace under test.
   std::vector<std::size_t> attrs;
-  /// Generation stamps of the epoch-based DrawSelection (slice_epoch.h):
-  /// an object is selected by the most recent draw iff its stamp equals
-  /// that draw's SliceSelection::selected_stamp. Reset only when `epoch`
-  /// would overflow, so a draw costs O(conditions * block) instead of the
-  /// O(N) counter clear of the materializing path.
-  std::vector<std::uint32_t> stamps;
-  /// Last stamp value issued; monotonically increasing between resets.
-  std::uint32_t epoch = 0;
 };
 
 /// Output of SliceSampler::DrawSelection: the rank-space description of one
 /// slice. The selected objects are not materialized; they are exactly the
-/// ids with scratch->stamps[id] == selected_stamp, which downstream
-/// consumers sweep in whatever order suits their statistic (object-id
-/// order for moment accumulation, sorted-attribute order for rank tests).
+/// ids whose rank lies inside every condition's window:
+///
+///   id selected  <=>  for every c: condition_ranks[c][id] - window_starts[c]
+///                                   < block            (uint32 arithmetic)
+///
+/// which downstream consumers evaluate in one vectorized pass
+/// (simd select_rank_window). Reused across draws: the vectors keep their
+/// capacity, and the rank pointers borrow the sampler's index.
 struct SliceSelection {
   /// The attribute whose marginal vs conditional distribution is tested.
   std::size_t test_attribute = 0;
-  /// Stamp value identifying this draw's selected objects.
-  std::uint32_t selected_stamp = 0;
+  /// Window length shared by every condition (SliceSampler::BlockSize).
+  std::uint32_t block = 0;
+  /// Object-id-order ranks (SortedAttributeIndex::Ranks) of each
+  /// conditioning attribute, one per condition.
+  std::vector<const std::uint32_t*> condition_ranks;
+  /// First sorted position of each condition's window.
+  std::vector<std::uint32_t> window_starts;
+
   /// Number of conditioning attributes (|S| - 1).
-  std::size_t num_conditions = 0;
+  std::size_t num_conditions() const { return window_starts.size(); }
 };
 
 /// Generates random adaptive subspace slices over pre-sorted attribute
@@ -65,7 +68,8 @@ struct SliceSelection {
 ///     attribute, the other |S|-1 carry conditions,
 ///  2. for each conditioning attribute picks a random contiguous block of
 ///     its sorted index of size ceil(N * alpha^(1/|S|)) and intersects the
-///     selections via a boolean mask,
+///     selections (a condition counter in Draw, a rank-window test in the
+///     DrawSelection consumers),
 ///  3. collects the test attribute's values of the surviving objects.
 ///
 /// The block size N*alpha1 with alpha1 = |S|-th root of alpha follows
@@ -97,13 +101,15 @@ class SliceSampler {
             SliceScratch* scratch, SliceDraw* out) const;
 
   /// Rank-space variant: performs the same random slice construction as
-  /// Draw — identical RNG consumption, so a shared rng state yields the
-  /// same slice through either entry point — but records the selection as
-  /// epoch stamps in `scratch->stamps` instead of gathering the test
-  /// attribute's values. O(conditions * block) per call; no O(N) reset
-  /// and no materialization. The selection stays valid until the next
-  /// DrawSelection call on the same scratch.
-  void DrawSelection(const Subspace& subspace, double alpha, Rng* rng,
+  /// Draw — identical RNG consumption (one shuffle, then one window start
+  /// per condition), so a shared rng state yields the same slice through
+  /// either entry point — but records only the windows in `out` instead of
+  /// gathering the test attribute's values. `block` is
+  /// BlockSize(|subspace|, alpha), resolved once by the caller for all
+  /// draws of one subspace. O(|S|) per call; no O(N) work at all. The
+  /// selection stays valid while the sampler's index lives; `out` is
+  /// overwritten by the next call.
+  void DrawSelection(const Subspace& subspace, std::size_t block, Rng* rng,
                      SliceScratch* scratch, SliceSelection* out) const;
 
   /// Block size used for one condition of a |dims|-dimensional subspace:

@@ -157,9 +157,11 @@ class KdTreeSearcher : public NeighborSearcher {
     const int near = diff <= 0.0 ? node.left : node.right;
     const int far = diff <= 0.0 ? node.right : node.left;
     SearchKnn(near, q, exclude, k, heap);
-    // Visit the far side only if the splitting hyperplane could still hold
-    // a closer neighbor.
-    if (heap->size() < k || diff * diff < heap->front().distance) {
+    // Visit the far side unless the splitting hyperplane lies strictly
+    // beyond the current k-th distance. A far-side point exactly at that
+    // distance can still displace the k-th neighbor on the id tie-break of
+    // the (distance, id) order, so equality must not prune.
+    if (heap->size() < k || diff * diff <= heap->front().distance) {
       SearchKnn(far, q, exclude, k, heap);
     }
   }

@@ -1,17 +1,30 @@
 #include "index/sorted_index.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "common/parallel.h"
 
 namespace hics {
+namespace {
+
+// Ranks are stored as uint32_t, and a slice window [start, start + block)
+// must fit too: N < 2^32.
+void CheckRankRange(std::size_t num_objects) {
+  HICS_CHECK_LE(num_objects, std::numeric_limits<std::uint32_t>::max())
+      << "a sorted attribute index holds fewer than 2^32 objects";
+}
+
+}  // namespace
 
 SortedAttributeIndex::SortedAttributeIndex(const Dataset& dataset,
                                            std::size_t num_threads)
     : num_objects_(dataset.num_objects()),
       order_(dataset.num_attributes()),
       rank_(dataset.num_attributes()) {
+  CheckRankRange(num_objects_);
   ParallelFor(0, dataset.num_attributes(), num_threads, [&](std::size_t a) {
     const std::vector<double>& column = dataset.Column(a);
     auto& order = order_[a];
@@ -24,7 +37,7 @@ SortedAttributeIndex::SortedAttributeIndex(const Dataset& dataset,
     auto& rank = rank_[a];
     rank.resize(num_objects_);
     for (std::size_t pos = 0; pos < num_objects_; ++pos) {
-      rank[order[pos]] = pos;
+      rank[order[pos]] = static_cast<std::uint32_t>(pos);
     }
   });
 }
@@ -34,6 +47,7 @@ SortedAttributeIndex::SortedAttributeIndex(
     : num_objects_(num_objects),
       order_(std::move(orders)),
       rank_(order_.size()) {
+  CheckRankRange(num_objects_);
   for (std::size_t a = 0; a < order_.size(); ++a) {
     const auto& order = order_[a];
     HICS_CHECK_EQ(order.size(), num_objects_);
@@ -41,7 +55,7 @@ SortedAttributeIndex::SortedAttributeIndex(
     rank.resize(num_objects_);
     for (std::size_t pos = 0; pos < num_objects_; ++pos) {
       HICS_DCHECK(order[pos] < num_objects_);
-      rank[order[pos]] = pos;
+      rank[order[pos]] = static_cast<std::uint32_t>(pos);
     }
   }
 }

@@ -2,6 +2,7 @@
 #define HICS_INDEX_SORTED_INDEX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -11,9 +12,12 @@ namespace hics {
 
 /// Pre-computed one-dimensional index structures (paper §IV-A): for every
 /// attribute, the permutation of object ids sorted ascending by that
-/// attribute's value. Subspace slices are contiguous blocks of these
-/// permutations, which makes the adaptive slice construction O(block size)
-/// regardless of dimensionality.
+/// attribute's value, and its inverse (each object's rank). Subspace
+/// slices are contiguous blocks of these permutations: object `id` lies in
+/// the block [start, start + length) of `attribute` iff
+/// Ranks(attribute)[id] - start < length (unsigned), which is what lets a
+/// slice of any dimensionality be selected in one pass over the ranks.
+/// Ranks are stored as uint32_t, so an index holds fewer than 2^32 objects.
 class SortedAttributeIndex {
  public:
   /// Builds the index for all attributes of `dataset`. O(D * N log N)
@@ -56,10 +60,17 @@ class SortedAttributeIndex {
     return rank_[attribute][object];
   }
 
+  /// Every object's rank in the sorted order of `attribute`, in object-id
+  /// order (the inverse permutation of SortedOrder(attribute)).
+  std::span<const std::uint32_t> Ranks(std::size_t attribute) const {
+    HICS_DCHECK(attribute < rank_.size());
+    return rank_[attribute];
+  }
+
  private:
   std::size_t num_objects_ = 0;
-  std::vector<std::vector<std::size_t>> order_;  // per attribute
-  std::vector<std::vector<std::size_t>> rank_;   // inverse permutations
+  std::vector<std::vector<std::size_t>> order_;    // per attribute
+  std::vector<std::vector<std::uint32_t>> rank_;   // inverse permutations
 };
 
 }  // namespace hics

@@ -14,26 +14,27 @@ namespace {
 /// The kNN-family crossover, calibrated from BENCH_knn_backends.json
 /// (all-kNN wall clock per backend over an (N, |S|) grid, k = 10, index
 /// build included, avx512-dispatched SIMD screen kernels): the KD-tree
-/// wins through |S| <= 4 at every measured N but only holds on through
-/// |S| <= 6 once N reaches ~4000 — the vectorized Gram-screen tile sped
-/// the blocked brute-force kernel up enough to reclaim the
-/// (N=2000, |S|=6) cell that the pre-SIMD calibration gave to the tree.
-/// Past the crossover the curse of dimensionality flattens the tree's
-/// pruning while the brute kernel's cost stays nearly flat in |S|. Below
-/// the measured range the whole decision is sub-100us — brute force
-/// avoids betting on an unmeasured tree-build constant there.
+/// wins through |S| <= 4 at every measured N, through |S| = 5 from
+/// N = 1000 on (10-40% ahead of the batched kernel there; a tie at
+/// N = 500), and through |S| <= 6 once N reaches ~4000 — the vectorized
+/// Gram-screen tile sped the blocked brute-force kernel up enough to
+/// reclaim the (N=2000, |S|=6) cell that the pre-SIMD calibration gave to
+/// the tree. Past the crossover the curse of dimensionality flattens the
+/// tree's pruning while the brute kernel's cost stays nearly flat in |S|.
+/// Below the measured range the whole decision is sub-100us — brute force
+/// avoids betting on an unmeasured tree-build constant there. Both
+/// backends return identical (distance, id) rows, so the choice never
+/// changes a result.
 KnnBackend KdVsBrute(std::size_t num_objects, std::size_t num_dimensions) {
-  constexpr std::size_t kKdTreeMinObjects = 256;
-  constexpr std::size_t kKdTreeMaxDims = 4;
-  constexpr std::size_t kKdTreeExtendedMinObjects = 4000;
-  constexpr std::size_t kKdTreeExtendedMaxDims = 6;
-  if (num_objects >= kKdTreeMinObjects &&
-      num_dimensions <= kKdTreeMaxDims) {
-    return KnnBackend::kKdTree;
-  }
-  if (num_objects >= kKdTreeExtendedMinObjects &&
-      num_dimensions <= kKdTreeExtendedMaxDims) {
-    return KnnBackend::kKdTree;
+  struct KdTier {
+    std::size_t min_objects;
+    std::size_t max_dims;
+  };
+  constexpr KdTier kKdTiers[] = {{256, 4}, {1000, 5}, {4000, 6}};
+  for (const KdTier& tier : kKdTiers) {
+    if (num_objects >= tier.min_objects && num_dimensions <= tier.max_dims) {
+      return KnnBackend::kKdTree;
+    }
   }
   return KnnBackend::kBruteForce;
 }

@@ -7,7 +7,9 @@
 // from fusing behind our back); the SCREENING kernels fuse freely.
 //
 // Compaction has no compress instruction on AVX2; it is emulated with a
-// per-mask shuffle table driving vpermd over the 4 candidate doubles.
+// per-mask shuffle table driving vpermd over the 4 candidate doubles. AVX2
+// has no unsigned 32-bit compare either: the rank-window test biases both
+// sides by 2^31 and compares signed.
 
 #ifdef HICS_SIMD_COMPILED_AVX2
 
@@ -127,7 +129,7 @@ void ScreenRowF32Avx2(const float* soa, std::size_t stride, std::size_t dim,
   }
 }
 
-/// vpermd control words packing the doubles selected by a 4-bit stamp mask
+/// vpermd control words packing the doubles selected by a 4-bit lane mask
 /// to the vector front: entry m lists the selected doubles' int32 halves
 /// (2e, 2e+1) in ascending e, padded with zeros (the padding lanes are
 /// overwritten by later stores or ignored past the final count).
@@ -162,28 +164,28 @@ inline std::size_t CompactStep(__m256d values, int mask, double* out,
 }
 
 std::size_t CompactSelectedAvx2(const double* column,
-                                const std::uint32_t* stamps, std::size_t n,
+                                const std::uint32_t* labels, std::size_t n,
                                 std::uint32_t target, double* out) {
   const __m128i vtarget = _mm_set1_epi32(static_cast<int>(target));
   std::size_t k = 0;
   std::size_t id = 0;
   for (; id + 4 <= n; id += 4) {
     const __m128i st = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(stamps + id));
+        reinterpret_cast<const __m128i*>(labels + id));
     const int mask =
         _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(st, vtarget)));
     k = CompactStep(_mm256_loadu_pd(column + id), mask, out, k);
   }
   for (; id < n; ++id) {
     out[k] = column[id];
-    k += static_cast<std::size_t>(stamps[id] == target);
+    k += static_cast<std::size_t>(labels[id] == target);
   }
   return k;
 }
 
 std::size_t CompactSelectedSortedAvx2(const double* sorted_values,
                                       const std::size_t* order,
-                                      const std::uint32_t* stamps,
+                                      const std::uint32_t* labels,
                                       std::size_t n, std::uint32_t target,
                                       double* out) {
   const __m128i vtarget = _mm_set1_epi32(static_cast<int>(target));
@@ -193,16 +195,50 @@ std::size_t CompactSelectedSortedAvx2(const double* sorted_values,
     const __m256i idx = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(order + pos));
     const __m128i st = _mm256_i64gather_epi32(
-        reinterpret_cast<const int*>(stamps), idx, sizeof(std::uint32_t));
+        reinterpret_cast<const int*>(labels), idx, sizeof(std::uint32_t));
     const int mask =
         _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(st, vtarget)));
     k = CompactStep(_mm256_loadu_pd(sorted_values + pos), mask, out, k);
   }
   for (; pos < n; ++pos) {
     out[k] = sorted_values[pos];
-    k += static_cast<std::size_t>(stamps[order[pos]] == target);
+    k += static_cast<std::size_t>(labels[order[pos]] == target);
   }
   return k;
+}
+
+std::size_t SelectRankWindowAvx2(const std::uint32_t* const* ranks,
+                                 const std::uint32_t* starts,
+                                 std::size_t num_conditions,
+                                 std::uint32_t block, const double* column,
+                                 std::size_t n, double* out,
+                                 std::uint32_t* mask) {
+  // d < block (unsigned) <=> (d ^ 2^31) < (block ^ 2^31) (signed), and
+  // (rank - start) ^ 2^31 == rank - (start ^ 2^31) mod 2^32: one sub and
+  // one signed compare per condition and 8 objects.
+  constexpr std::uint32_t kBias = 0x80000000u;
+  const __m256i vblock = _mm256_set1_epi32(static_cast<int>(block ^ kBias));
+  std::size_t k = 0;
+  std::size_t id = 0;
+  for (; id + 8 <= n; id += 8) {
+    __m256i hit = _mm256_set1_epi32(-1);
+    for (std::size_t c = 0; c < num_conditions; ++c) {
+      const __m256i rank = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(ranks[c] + id));
+      const __m256i d = _mm256_sub_epi32(
+          rank, _mm256_set1_epi32(static_cast<int>(starts[c] ^ kBias)));
+      hit = _mm256_and_si256(hit, _mm256_cmpgt_epi32(vblock, d));
+    }
+    const int bits = _mm256_movemask_ps(_mm256_castsi256_ps(hit));
+    k = CompactStep(_mm256_loadu_pd(column + id), bits & 0xF, out, k);
+    k = CompactStep(_mm256_loadu_pd(column + id + 4), bits >> 4, out, k);
+    if (mask != nullptr) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(mask + id),
+                          _mm256_srli_epi32(hit, 31));
+    }
+  }
+  return SelectRankWindowTail(ranks, starts, num_conditions, block, column,
+                              id, n, out, mask, k);
 }
 
 double SumAvx2(const double* values, std::size_t n) {
@@ -270,6 +306,7 @@ const SimdKernels& Avx2Kernels() {
       ScreenRowF32Avx2,
       CompactSelectedAvx2,
       CompactSelectedSortedAvx2,
+      SelectRankWindowAvx2,
       SumAvx2,
       SumSqDevAvx2,
       BinIndexAvx2,

@@ -2,8 +2,10 @@
 // tier's partial-sum lanes: the exact distance stays on 4 ymm lanes (the
 // canonical decomposition is 4-wide; running it 8-wide would change the
 // result), the moments run one zmm accumulator whose 8 lanes *are* the
-// canonical 8 partials, and compaction uses the native compress-store —
+// canonical 8 partials, and compaction uses the native compress —
 // which preserves ascending order exactly like the scalar cursor loop.
+// The rank-window selection tests 16 objects per step with the native
+// unsigned compare.
 // SCREENING kernels run full zmm width with FMA.
 
 #ifdef HICS_SIMD_COMPILED_AVX512
@@ -136,28 +138,28 @@ void ScreenRowF32Avx512(const float* soa, std::size_t stride, std::size_t dim,
 }
 
 std::size_t CompactSelectedAvx512(const double* column,
-                                  const std::uint32_t* stamps, std::size_t n,
+                                  const std::uint32_t* labels, std::size_t n,
                                   std::uint32_t target, double* out) {
   const __m256i vtarget = _mm256_set1_epi32(static_cast<int>(target));
   std::size_t k = 0;
   std::size_t id = 0;
   for (; id + 8 <= n; id += 8) {
     const __m256i st = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(stamps + id));
+        reinterpret_cast<const __m256i*>(labels + id));
     const __mmask8 m = _mm256_cmpeq_epu32_mask(st, vtarget);
     _mm512_mask_compressstoreu_pd(out + k, m, _mm512_loadu_pd(column + id));
     k += static_cast<std::size_t>(__builtin_popcount(m));
   }
   for (; id < n; ++id) {
     out[k] = column[id];
-    k += static_cast<std::size_t>(stamps[id] == target);
+    k += static_cast<std::size_t>(labels[id] == target);
   }
   return k;
 }
 
 std::size_t CompactSelectedSortedAvx512(const double* sorted_values,
                                         const std::size_t* order,
-                                        const std::uint32_t* stamps,
+                                        const std::uint32_t* labels,
                                         std::size_t n, std::uint32_t target,
                                         double* out) {
   const __m256i vtarget = _mm256_set1_epi32(static_cast<int>(target));
@@ -167,7 +169,7 @@ std::size_t CompactSelectedSortedAvx512(const double* sorted_values,
     const __m512i idx = _mm512_loadu_si512(
         reinterpret_cast<const void*>(order + pos));
     const __m256i st =
-        _mm512_i64gather_epi32(idx, stamps, sizeof(std::uint32_t));
+        _mm512_i64gather_epi32(idx, labels, sizeof(std::uint32_t));
     const __mmask8 m = _mm256_cmpeq_epu32_mask(st, vtarget);
     _mm512_mask_compressstoreu_pd(out + k, m,
                                   _mm512_loadu_pd(sorted_values + pos));
@@ -175,9 +177,46 @@ std::size_t CompactSelectedSortedAvx512(const double* sorted_values,
   }
   for (; pos < n; ++pos) {
     out[k] = sorted_values[pos];
-    k += static_cast<std::size_t>(stamps[order[pos]] == target);
+    k += static_cast<std::size_t>(labels[order[pos]] == target);
   }
   return k;
+}
+
+std::size_t SelectRankWindowAvx512(const std::uint32_t* const* ranks,
+                                   const std::uint32_t* starts,
+                                   std::size_t num_conditions,
+                                   std::uint32_t block, const double* column,
+                                   std::size_t n, double* out,
+                                   std::uint32_t* mask) {
+  const __m512i vblock = _mm512_set1_epi32(static_cast<int>(block));
+  const __m512i vone = _mm512_set1_epi32(1);
+  std::size_t k = 0;
+  std::size_t id = 0;
+  for (; id + 16 <= n; id += 16) {
+    __mmask16 hit = 0xFFFF;
+    for (std::size_t c = 0; c < num_conditions; ++c) {
+      const __m512i d = _mm512_sub_epi32(
+          _mm512_loadu_si512(reinterpret_cast<const void*>(ranks[c] + id)),
+          _mm512_set1_epi32(static_cast<int>(starts[c])));
+      hit = _mm512_mask_cmplt_epu32_mask(hit, d, vblock);
+    }
+    // Compress in registers and store full width (out has kCompactPad
+    // slack): cheaper than a masked compress-store to memory.
+    const __mmask8 lo = static_cast<__mmask8>(hit);
+    const __mmask8 hi = static_cast<__mmask8>(hit >> 8);
+    const __m512d values_lo = _mm512_loadu_pd(column + id);
+    const __m512d values_hi = _mm512_loadu_pd(column + id + 8);
+    _mm512_storeu_pd(out + k, _mm512_maskz_compress_pd(lo, values_lo));
+    k += static_cast<std::size_t>(__builtin_popcount(lo));
+    _mm512_storeu_pd(out + k, _mm512_maskz_compress_pd(hi, values_hi));
+    k += static_cast<std::size_t>(__builtin_popcount(hi));
+    if (mask != nullptr) {
+      _mm512_storeu_si512(reinterpret_cast<void*>(mask + id),
+                          _mm512_maskz_mov_epi32(hit, vone));
+    }
+  }
+  return SelectRankWindowTail(ranks, starts, num_conditions, block, column,
+                              id, n, out, mask, k);
 }
 
 double SumAvx512(const double* values, std::size_t n) {
@@ -238,6 +277,7 @@ const SimdKernels& Avx512Kernels() {
       ScreenRowF32Avx512,
       CompactSelectedAvx512,
       CompactSelectedSortedAvx512,
+      SelectRankWindowAvx512,
       SumAvx512,
       SumSqDevAvx512,
       BinIndexAvx512,

@@ -67,6 +67,30 @@ inline void BinIndexTail(const double* values, std::size_t j, std::size_t n,
   for (; j < n; ++j) out[j] = BinIndexOne(values[j], lo, scale, max_bin);
 }
 
+/// Tail of the rank-window selection: objects [id, n) through the
+/// reference per-object test, continuing the output cursor `k` of the main
+/// loop. Returns the new cursor. The scalar tier is this from id 0.
+inline std::size_t SelectRankWindowTail(const std::uint32_t* const* ranks,
+                                        const std::uint32_t* starts,
+                                        std::size_t num_conditions,
+                                        std::uint32_t block,
+                                        const double* column, std::size_t id,
+                                        std::size_t n, double* out,
+                                        std::uint32_t* mask, std::size_t k) {
+  for (; id < n; ++id) {
+    std::uint32_t hit = 1;
+    for (std::size_t c = 0; c < num_conditions; ++c) {
+      hit &= static_cast<std::uint32_t>(
+          static_cast<std::uint32_t>(ranks[c][id] - starts[c]) < block);
+    }
+    // Branchless: every object writes, only hits advance the cursor.
+    out[k] = column[id];
+    k += hit;
+    if (mask != nullptr) mask[id] = hit;
+  }
+  return k;
+}
+
 }  // namespace hics::simd::internal
 
 #endif  // HICS_SIMD_KERNELS_COMMON_H_

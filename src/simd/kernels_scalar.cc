@@ -102,7 +102,7 @@ void ScreenRowF32Scalar(const float* soa, std::size_t stride, std::size_t dim,
 }
 
 std::size_t CompactSelectedScalar(const double* column,
-                                  const std::uint32_t* stamps, std::size_t n,
+                                  const std::uint32_t* labels, std::size_t n,
                                   std::uint32_t target, double* out) {
   // Branchless compaction: every position writes, only hits advance the
   // cursor — the hit rate is the slice-selection density, which the
@@ -110,22 +110,32 @@ std::size_t CompactSelectedScalar(const double* column,
   std::size_t k = 0;
   for (std::size_t id = 0; id < n; ++id) {
     out[k] = column[id];
-    k += static_cast<std::size_t>(stamps[id] == target);
+    k += static_cast<std::size_t>(labels[id] == target);
   }
   return k;
 }
 
 std::size_t CompactSelectedSortedScalar(const double* sorted_values,
                                         const std::size_t* order,
-                                        const std::uint32_t* stamps,
+                                        const std::uint32_t* labels,
                                         std::size_t n, std::uint32_t target,
                                         double* out) {
   std::size_t k = 0;
   for (std::size_t pos = 0; pos < n; ++pos) {
     out[k] = sorted_values[pos];
-    k += static_cast<std::size_t>(stamps[order[pos]] == target);
+    k += static_cast<std::size_t>(labels[order[pos]] == target);
   }
   return k;
+}
+
+std::size_t SelectRankWindowScalar(const std::uint32_t* const* ranks,
+                                   const std::uint32_t* starts,
+                                   std::size_t num_conditions,
+                                   std::uint32_t block, const double* column,
+                                   std::size_t n, double* out,
+                                   std::uint32_t* mask) {
+  return SelectRankWindowTail(ranks, starts, num_conditions, block, column,
+                              0, n, out, mask, 0);
 }
 
 double SumScalar(const double* values, std::size_t n) {
@@ -185,6 +195,7 @@ const SimdKernels& ScalarKernels() {
       ScreenRowF32Scalar,
       CompactSelectedScalar,
       CompactSelectedSortedScalar,
+      SelectRankWindowScalar,
       SumScalar,
       SumSqDevScalar,
       BinIndexScalar,

@@ -4,14 +4,17 @@
 //   * the batched-kNN distance kernels — the exact 4-partial-sum squared
 //     distance every result-bearing path shares, and the Gram-screening
 //     tile rows (f64 and f32) that only ever *prune* pairs,
-//   * the rank-space contrast kernels — stamp-filtered compaction of a
-//     slice selection (object-id order for moment tests, sorted-attribute
-//     order for rank tests) and the canonical 8-partial-sum moments.
+//   * the rank-space contrast kernels — the rank-window slice selection
+//     (one pass over the conditions' ranks that compacts the selected
+//     values in object-id order and writes the id-order mask), the
+//     mask-filtered compactions (object-id order, and sorted-attribute
+//     order for rank tests), and the canonical 8-partial-sum moments.
 //
 // Bit-identity contract. Kernels come in two classes:
 //
-//   CANONICAL — squared_distance(_bounded), mean, sum_sq_dev, both
-//   compaction kernels, and the grid bin_index kernel define *the*
+//   CANONICAL — squared_distance(_bounded), mean, sum_sq_dev, the
+//   selection and compaction kernels, and the grid bin_index kernel define
+//   *the*
 //   result. Every tier computes the same partial-sum decomposition in the
 //   same combine order (see kernels_scalar.cc for the reference), so
 //   outputs are bit-identical across scalar/AVX2/AVX-512 and across
@@ -93,23 +96,42 @@ struct SimdKernels {
                          std::size_t w, float ni, const float* norms,
                          double* d2);
 
-  /// CANONICAL. Object-id-order compaction of a slice selection: writes
-  /// column[id] for every id in [0, n) with stamps[id] == target to
+  /// CANONICAL. Object-id-order compaction of a labelled selection:
+  /// writes column[id] for every id in [0, n) with labels[id] == target to
   /// out[0..k) (ascending id) and returns k. `out` must have room for
   /// n + kCompactPad elements; slots past k are scratch garbage.
   std::size_t (*compact_selected)(const double* column,
-                                  const std::uint32_t* stamps, std::size_t n,
+                                  const std::uint32_t* labels, std::size_t n,
                                   std::uint32_t target, double* out);
 
   /// CANONICAL. Sorted-attribute-order compaction: position pos emits
-  /// sorted_values[pos] iff stamps[order[pos]] == target, so the output is
+  /// sorted_values[pos] iff labels[order[pos]] == target, so the output is
   /// the selected sample already sorted ascending. Same out-buffer
   /// contract as compact_selected.
   std::size_t (*compact_selected_sorted)(const double* sorted_values,
                                          const std::size_t* order,
-                                         const std::uint32_t* stamps,
+                                         const std::uint32_t* labels,
                                          std::size_t n, std::uint32_t target,
                                          double* out);
+
+  /// CANONICAL. Rank-window slice selection: object id in [0, n) is
+  /// selected iff, for every condition c in [0, num_conditions),
+  ///   ranks[c][id] - starts[c] < block        (uint32 arithmetic)
+  /// i.e. its rank in condition c's sorted order lies in the window
+  /// [starts[c], starts[c] + block); a rank below the start wraps to a
+  /// huge difference and fails. Writes column[id] of every selected id to
+  /// out[0..k) in ascending id order and returns k (same out-buffer
+  /// contract as compact_selected). When `mask` is non-null it also writes
+  /// mask[id] = 1 for selected and 0 for unselected ids — the id-order
+  /// labels compact_selected_sorted filters on with target 1. One pass,
+  /// no branch per object; pure data movement, so every tier is
+  /// identical by construction.
+  std::size_t (*select_rank_window)(const std::uint32_t* const* ranks,
+                                    const std::uint32_t* starts,
+                                    std::size_t num_conditions,
+                                    std::uint32_t block, const double* column,
+                                    std::size_t n, double* out,
+                                    std::uint32_t* mask);
 
   /// CANONICAL. Sum of `values` as eight independent partial sums (lane
   /// l accumulates j % 8 == l), combined pairwise:

@@ -44,8 +44,7 @@ class CvmDeviation : public TwoSampleTest {
   /// Rank-space path: sorted-order emission of the conditional (see
   /// KsDeviation::DeviationFromSelection) feeding the O(n) sorted merge.
   double DeviationFromSelection(const SelectionView& view,
-                                std::vector<double>* gather_scratch)
-      const override;
+                                SelectionScratch* scratch) const override;
   std::string name() const override { return "cvm"; }
 };
 

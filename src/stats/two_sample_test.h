@@ -13,9 +13,13 @@ namespace hics::stats {
 /// Rank-space view of one slice selection, handed to
 /// TwoSampleTest::DeviationFromSelection by the contrast estimator. The
 /// conditional sample is *not* materialized; it is the subset of `column`
-/// whose object id carries the selection stamp:
+/// whose object ids lie inside every condition's rank window:
 ///
-///   id selected  <=>  stamps[id] == selected_stamp
+///   id selected  <=>  for every c: condition_ranks[c][id] - window_starts[c]
+///                                   < window_block      (uint32 arithmetic)
+///
+/// SelectConditional() evaluates that test for all objects in one
+/// vectorized pass (simd select_rank_window).
 ///
 /// Invariants the producer guarantees:
 ///  * `marginal_sorted` is `column` sorted ascending, and element `pos`
@@ -23,7 +27,8 @@ namespace hics::stats {
 ///  * `marginal_mean` / `marginal_variance` equal Mean(marginal_sorted) /
 ///    SampleVariance(marginal_sorted) exactly (same summation order), so
 ///    moment-based tests reproduce the materializing path bitwise.
-///  * `stamps.size() == column.size() == sorted_order.size()`.
+///  * `column.size() == sorted_order.size()`, every rank array has that
+///    many entries, and `condition_ranks.size() == window_starts.size()`.
 struct SelectionView {
   /// Test attribute's values sorted ascending (the marginal sample).
   std::span<const double> marginal_sorted;
@@ -34,13 +39,42 @@ struct SelectionView {
   /// Test attribute's values in object-id order.
   std::span<const double> column;
   /// Object ids ascending by test-attribute value; walking it and
-  /// filtering on the stamp emits the conditional sample already sorted.
+  /// filtering on the selection mask emits the conditional sample already
+  /// sorted.
   std::span<const std::size_t> sorted_order;
-  /// Per-object selection stamps (SliceScratch::stamps).
-  std::span<const std::uint32_t> stamps;
-  /// Stamp value identifying the selected objects.
-  std::uint32_t selected_stamp = 0;
+  /// Object-id-order ranks of each conditioning attribute.
+  std::span<const std::uint32_t* const> condition_ranks;
+  /// First sorted position of each condition's window.
+  std::span<const std::uint32_t> window_starts;
+  /// Window length shared by every condition.
+  std::uint32_t window_block = 0;
 };
+
+/// Reusable per-worker buffers of DeviationFromSelection; capacity persists
+/// across draws, so the Monte Carlo loop does not allocate.
+struct SelectionScratch {
+  /// The selected values (object-id order, or sorted for the rank tests),
+  /// sized n + simd::kCompactPad; only the returned prefix is meaningful.
+  std::vector<double> values;
+  /// Id-order selection mask (1 = selected), when a test asks for it.
+  std::vector<std::uint32_t> mask;
+};
+
+/// Runs the view's rank-window selection: writes the selected values of
+/// `view.column` in ascending object-id order to scratch->values and
+/// returns their count. With `with_mask`, the same pass also fills
+/// scratch->mask, the id-order labels a sorted-order walk filters on.
+std::size_t SelectConditional(const SelectionView& view,
+                              SelectionScratch* scratch, bool with_mask);
+
+/// The same selection emitted in ascending value order: the rank-window
+/// pass labels the selected ids, then a walk of `view.sorted_order`
+/// filtered on those labels (simd compact_selected_sorted) writes the
+/// selected values of `view.marginal_sorted` to scratch->values already
+/// sorted. Returns their count. Equal values are interchangeable, so this
+/// is exactly the sequence sort-after-gather produces, without the sort.
+std::size_t SelectConditionalSorted(const SelectionView& view,
+                                    SelectionScratch* scratch);
 
 /// Interface for the paper's deviation(p̂_A, p̂_B) function (§III-E): a
 /// two-sample statistical test that maps a marginal sample A and a
@@ -91,16 +125,15 @@ class TwoSampleTest {
   /// DeviationPresortedMarginal(view.marginal_sorted, gathered, scratch);
   /// the contrast estimator's oracle mode verifies exactly that.
   ///
-  /// The shipped tests override it: Welch accumulates count/sum/M2 during
-  /// two id-order sweeps and never materializes the conditional; KS and
-  /// CvM emit the conditional already sorted by walking `sorted_order`
-  /// filtered on the stamp, eliminating the per-draw O(m log m) sort. The
-  /// base implementation gathers into `gather_scratch` (reusing its
-  /// capacity) and defers to DeviationPresortedMarginal, so third-party
-  /// tests stay correct without opting in.
+  /// The shipped tests override it: Welch runs the moment kernels over the
+  /// id-order values SelectConditional compacts; KS and CvM take that
+  /// pass's mask and walk `sorted_order` filtered on it, which emits the
+  /// conditional already sorted and eliminates the per-draw O(m log m)
+  /// sort. The base implementation runs SelectConditional and defers to
+  /// DeviationPresortedMarginal, so third-party tests stay correct without
+  /// opting in.
   virtual double DeviationFromSelection(const SelectionView& view,
-                                        std::vector<double>* gather_scratch)
-      const;
+                                        SelectionScratch* scratch) const;
 
   /// Short identifier for reports, e.g. "welch" or "ks".
   virtual std::string name() const = 0;

@@ -1,6 +1,6 @@
 // Rank-space contrast kernel guarantees (DESIGN.md §5d):
 //  (1) contrast scores are *bit-identical* between the rank-space kernel
-//      (epoch-stamped selection + DeviationFromSelection) and the
+//      (rank-window selection + DeviationFromSelection) and the
 //      materializing gather+sort oracle, for every deviation function
 //      (welch/ks/cvm), across random datasets, subspace sizes, and
 //      duplicate-heavy data;

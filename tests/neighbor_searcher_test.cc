@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 
@@ -147,6 +150,70 @@ INSTANTIATE_TEST_SUITE_P(
                       ParityCase{100, 3, 10, 3}, ParityCase{200, 5, 7, 4},
                       ParityCase{150, 8, 15, 5}, ParityCase{64, 2, 63, 6},
                       ParityCase{500, 4, 1, 7}));
+
+// Integer-grid coordinates make exact distance ties (duplicates at 0, and
+// equal nonzero distances) the common case: the (distance, id) order must
+// still pick the same neighbors on both backends, including far-side
+// points at exactly the current k-th distance.
+Dataset IntegerGridDataset(std::size_t n, std::size_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset ds(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      ds.Set(i, j, static_cast<double>(rng.UniformIndex(4)));
+    }
+  }
+  return ds;
+}
+
+void ExpectSameNeighbors(std::span<const Neighbor> actual,
+                         std::span<const Neighbor> expected,
+                         const std::string& where) {
+  ASSERT_EQ(actual.size(), expected.size()) << where;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].id, expected[i].id) << where << " neighbor " << i;
+    EXPECT_EQ(actual[i].distance, expected[i].distance)
+        << where << " neighbor " << i;
+  }
+}
+
+TEST(KdTreeTest, DuplicateHeavyTiesMatchBruteForce) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::size_t n = 60 + 40 * seed;
+    const std::size_t d = 1 + seed % 4;
+    Dataset ds = IntegerGridDataset(n, d, seed);
+    const Subspace full = ds.FullSpace();
+    auto brute = MakeBruteForceSearcher(ds, full);
+    auto kd = MakeKdTreeSearcher(ds, full);
+    Rng rng(seed + 500);
+    std::vector<double> point(d);
+    for (std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{10}}) {
+      const std::string shape = "seed " + std::to_string(seed) + " n " +
+                                std::to_string(n) + " d " +
+                                std::to_string(d) + " k " + std::to_string(k);
+      for (std::size_t q = 0; q < n; ++q) {
+        ExpectSameNeighbors(kd->QueryKnn(q, k), brute->QueryKnn(q, k),
+                            shape + " query " + std::to_string(q));
+      }
+      KnnResultTable want, got;
+      brute->QueryAllKnn(k, &want);
+      kd->QueryAllKnn(k, &got);
+      ASSERT_EQ(got.num_queries(), want.num_queries()) << shape;
+      for (std::size_t q = 0; q < n; ++q) {
+        ExpectSameNeighbors(got.Row(q), want.Row(q),
+                            shape + " all-kNN row " + std::to_string(q));
+      }
+      for (int trial = 0; trial < 20; ++trial) {
+        for (double& v : point) {
+          v = static_cast<double>(rng.UniformIndex(4));
+        }
+        ExpectSameNeighbors(kd->QueryKnnPoint(point, k),
+                            brute->QueryKnnPoint(point, k),
+                            shape + " point trial " + std::to_string(trial));
+      }
+    }
+  }
+}
 
 // --------------------------------------------------------------------------
 // QueryKnnPoint: the const out-of-sample query path (serving).

@@ -1,8 +1,8 @@
 // SIMD layer guarantees (DESIGN.md §5g):
-//  (1) every CANONICAL kernel (exact distance, bounded distance, both
-//      compactions, sum, sum_sq_dev) is bit-identical across every tier
-//      this machine can run, on hostile inputs too (NaN, duplicates,
-//      tie-heavy, remainder-heavy lengths);
+//  (1) every CANONICAL kernel (exact distance, bounded distance, the
+//      rank-window selection, both compactions, sum, sum_sq_dev) is
+//      bit-identical across every tier this machine can run, on hostile
+//      inputs too (NaN, duplicates, tie-heavy, remainder-heavy lengths);
 //  (2) the SCREENING kernels stay within the slack margins the brute-force
 //      searcher covers them with, in both precisions;
 //  (3) the dispatch seam: tier parsing/clamping/scoped restore, and — end
@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -181,6 +183,145 @@ TEST(SimdKernelTest, CompactSelectedSortedIdenticalAcrossTiers) {
             << "n=" << n << " i=" << i << " tier=" << simd::SimdTierName(tier);
       }
     }
+  }
+}
+
+/// Object-id-order ranks of a duplicate-heavy column (values quantized to
+/// `levels`), ties broken by ascending id like the sorted attribute index.
+std::vector<std::uint32_t> TieHeavyRanks(std::size_t n, std::size_t levels,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> column(n);
+  for (double& v : column) {
+    v = static_cast<double>(rng.UniformIndex(levels));
+  }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return column[a] < column[b];
+                   });
+  std::vector<std::uint32_t> ranks(n);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    ranks[order[pos]] = static_cast<std::uint32_t>(pos);
+  }
+  return ranks;
+}
+
+TEST(SimdKernelTest, SelectRankWindowIdenticalAcrossTiers) {
+  // Every tier must select exactly the ids the per-object window test
+  // selects, compact their values in ascending id order, and write the
+  // same mask — across lengths below and off the lane widths, 1..7
+  // conditions, tie-heavy rank columns, and the window extremes.
+  for (std::size_t n : kLengths) {
+    const std::vector<double> column = HostileValues(n, 31 + n, true);
+    for (std::size_t conditions = 1; conditions <= 7; ++conditions) {
+      std::vector<std::vector<std::uint32_t>> rank_columns;
+      std::vector<const std::uint32_t*> ranks;
+      for (std::size_t c = 0; c < conditions; ++c) {
+        rank_columns.push_back(TieHeavyRanks(n, 1 + c, 100 * n + c));
+      }
+      for (const auto& r : rank_columns) ranks.push_back(r.data());
+      Rng rng(7 * n + conditions);
+      // Windows: the whole order, a prefix, a suffix, and random ones.
+      for (int shape = 0; shape < 5; ++shape) {
+        const std::size_t block =
+            shape == 0 || n == 0 ? n : 1 + rng.UniformIndex(n);
+        std::vector<std::uint32_t> starts(conditions);
+        for (std::uint32_t& start : starts) {
+          const std::size_t max_start = n - block;
+          start = static_cast<std::uint32_t>(
+              shape <= 1 ? 0
+              : shape == 2 ? max_start
+                           : rng.UniformIndex(max_start + 1));
+        }
+        const std::string where =
+            "n=" + std::to_string(n) +
+            " conditions=" + std::to_string(conditions) +
+            " block=" + std::to_string(block) +
+            " shape=" + std::to_string(shape);
+        std::vector<double> want_values;
+        std::vector<std::uint32_t> want_mask(n);
+        for (std::size_t id = 0; id < n; ++id) {
+          bool hit = true;
+          for (std::size_t c = 0; c < conditions; ++c) {
+            hit = hit && ranks[c][id] >= starts[c] &&
+                  ranks[c][id] < starts[c] + block;
+          }
+          want_mask[id] = hit ? 1 : 0;
+          if (hit) want_values.push_back(column[id]);
+        }
+        for (SimdTier tier : AvailableTiers()) {
+          const simd::SimdKernels& kernels = KernelsForTier(tier);
+          std::vector<double> out(n + simd::kCompactPad, -2.0);
+          std::vector<std::uint32_t> mask(n, 7);
+          const std::size_t got = kernels.select_rank_window(
+              ranks.data(), starts.data(), conditions,
+              static_cast<std::uint32_t>(block), column.data(), n,
+              out.data(), mask.data());
+          ASSERT_EQ(got, want_values.size())
+              << where << " tier=" << simd::SimdTierName(tier);
+          for (std::size_t i = 0; i < got; ++i) {
+            EXPECT_EQ(Bits(want_values[i]), Bits(out[i]))
+                << where << " i=" << i << " tier=" << simd::SimdTierName(tier);
+          }
+          EXPECT_EQ(mask, want_mask)
+              << where << " tier=" << simd::SimdTierName(tier);
+          // Without a mask the same selection is compacted.
+          std::vector<double> unmasked(n + simd::kCompactPad, -3.0);
+          EXPECT_EQ(kernels.select_rank_window(
+                        ranks.data(), starts.data(), conditions,
+                        static_cast<std::uint32_t>(block), column.data(), n,
+                        unmasked.data(), nullptr),
+                    got)
+              << where << " tier=" << simd::SimdTierName(tier);
+          for (std::size_t i = 0; i < got; ++i) {
+            EXPECT_EQ(Bits(out[i]), Bits(unmasked[i])) << where << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, SelectRankWindowMaskDrivesSortedCompaction) {
+  // The id-order mask is the label array the sorted-order walk filters on
+  // (target 1): together they emit the selected values sorted ascending,
+  // on every tier.
+  const std::size_t n = 203;
+  Rng rng(19);
+  std::vector<double> column(n);
+  for (double& v : column) v = std::floor(rng.UniformDouble() * 9.0);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return column[a] < column[b];
+                   });
+  std::vector<double> sorted(n);
+  for (std::size_t pos = 0; pos < n; ++pos) sorted[pos] = column[order[pos]];
+  const std::vector<std::uint32_t> r0 = TieHeavyRanks(n, 4, 1);
+  const std::vector<std::uint32_t> r1 = TieHeavyRanks(n, 6, 2);
+  const std::uint32_t* ranks[] = {r0.data(), r1.data()};
+  const std::uint32_t starts[] = {40, 90};
+  const std::uint32_t block = 110;
+  for (SimdTier tier : AvailableTiers()) {
+    const simd::SimdKernels& kernels = KernelsForTier(tier);
+    std::vector<double> values(n + simd::kCompactPad);
+    std::vector<std::uint32_t> mask(n);
+    const std::size_t k =
+        kernels.select_rank_window(ranks, starts, 2, block, column.data(), n,
+                                   values.data(), mask.data());
+    std::vector<double> want(values.begin(), values.begin() + k);
+    std::sort(want.begin(), want.end());
+    std::vector<double> emitted(n + simd::kCompactPad);
+    ASSERT_EQ(kernels.compact_selected_sorted(sorted.data(), order.data(),
+                                              mask.data(), n, 1,
+                                              emitted.data()),
+              k)
+        << simd::SimdTierName(tier);
+    emitted.resize(k);
+    EXPECT_EQ(emitted, want) << simd::SimdTierName(tier);
   }
 }
 

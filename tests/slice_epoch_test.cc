@@ -1,4 +1,7 @@
-#include "core/slice_epoch.h"
+// DrawSelection-level guarantees of the rank-space slice selection: the
+// rank windows select exactly the objects the materializing Draw gathers,
+// the selection size follows Algorithm 1's block-size rule, and the
+// sorted-order emission keeps KS bit-identical on duplicate-heavy data.
 
 #include <gtest/gtest.h>
 
@@ -6,7 +9,6 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
-#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -26,105 +28,22 @@ Dataset UniformDataset(std::size_t n, std::size_t d, std::uint64_t seed) {
   return ds;
 }
 
-using internal::BeginSelectionEpoch;
-using internal::StampCondition;
-
-TEST(SliceEpochTest, FirstUseSizesAndZeroesStamps) {
-  std::vector<std::uint8_t> stamps;
-  std::uint8_t epoch = 0;
-  const std::uint8_t base = BeginSelectionEpoch(&stamps, &epoch,
-                                                std::size_t{6},
-                                                std::size_t{2});
-  EXPECT_EQ(base, 0);
-  EXPECT_EQ(epoch, 2);
-  ASSERT_EQ(stamps.size(), 6u);
-  for (std::uint8_t s : stamps) EXPECT_EQ(s, 0);
-}
-
-TEST(SliceEpochTest, ConditionsIntersectViaStampPromotion) {
-  std::vector<std::uint8_t> stamps;
-  std::uint8_t epoch = 0;
-  const std::uint8_t base = BeginSelectionEpoch(&stamps, &epoch,
-                                                std::size_t{6},
-                                                std::size_t{2});
-  const std::vector<std::size_t> block0{0, 2, 4};
-  const std::vector<std::size_t> block1{2, 3, 4};
-  StampCondition(&stamps, base, std::size_t{0},
-                 std::span<const std::size_t>(block0));
-  StampCondition(&stamps, base, std::size_t{1},
-                 std::span<const std::size_t>(block1));
-  // Selected = {0,2,4} ∩ {2,3,4} = {2,4}: stamp == epoch.
-  EXPECT_EQ(stamps[2], epoch);
-  EXPECT_EQ(stamps[4], epoch);
-  // Survived only condition 0.
-  EXPECT_EQ(stamps[0], base + 1);
-  // In condition 1's block but not condition 0's: not promoted.
-  EXPECT_EQ(stamps[3], 0);
-  EXPECT_EQ(stamps[1], 0);
-  EXPECT_EQ(stamps[5], 0);
-}
-
-TEST(SliceEpochTest, Uint8WraparoundClearsAndRestarts) {
-  // The epoch type is a template parameter exactly so this test can force
-  // wraparound in a few draws instead of ~4e9 (production is uint32_t).
-  std::vector<std::uint8_t> stamps;
-  std::uint8_t epoch = 0;
-  const std::size_t n = 8;
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  // 84 draws x 3 conditions drive the epoch to 252.
-  for (int draw = 0; draw < 84; ++draw) {
-    const std::uint8_t base = BeginSelectionEpoch(&stamps, &epoch, n,
-                                                  std::size_t{3});
-    for (std::size_t c = 0; c < 3; ++c) {
-      StampCondition(&stamps, base, c, std::span<const std::size_t>(all));
+/// The per-object window test a SliceSelection stands for: `id` is
+/// selected iff its rank lies in every condition's window.
+bool InSlice(const SliceSelection& sel, std::size_t id) {
+  for (std::size_t c = 0; c < sel.num_conditions(); ++c) {
+    const std::uint32_t rank = sel.condition_ranks[c][id];
+    if (rank < sel.window_starts[c] ||
+        rank >= sel.window_starts[c] + sel.block) {
+      return false;
     }
   }
-  EXPECT_EQ(epoch, 252);
-  EXPECT_EQ(stamps[0], 252);
-  // The next 4-condition draw does not fit in [253, 255]: the mechanism
-  // must clear every stale stamp and restart at 0, otherwise an old 252
-  // could alias a value the new draw tests for.
-  const std::uint8_t base = BeginSelectionEpoch(&stamps, &epoch, n,
-                                                std::size_t{4});
-  EXPECT_EQ(base, 0);
-  EXPECT_EQ(epoch, 4);
-  for (std::uint8_t s : stamps) EXPECT_EQ(s, 0);
-}
-
-TEST(SliceEpochTest, WraparoundStressMatchesBruteForceCounters) {
-  // Hundreds of random draws on a uint8_t epoch wrap around many times;
-  // after each draw the stamp-selected set must equal the set computed by
-  // per-draw brute-force counters (the semantics of the materializing
-  // path).
-  Rng rng(7);
-  std::vector<std::uint8_t> stamps;
-  std::uint8_t epoch = 0;
-  const std::size_t n = 40;
-  for (int draw = 0; draw < 500; ++draw) {
-    const std::size_t conditions = 1 + rng.UniformIndex(4);  // 1..4
-    const std::uint8_t base = BeginSelectionEpoch(&stamps, &epoch, n,
-                                                  conditions);
-    std::vector<int> count(n, 0);
-    for (std::size_t c = 0; c < conditions; ++c) {
-      std::vector<std::size_t> block;
-      for (std::size_t id = 0; id < n; ++id) {
-        if (rng.Bernoulli(0.5)) block.push_back(id);
-      }
-      StampCondition(&stamps, base, c, std::span<const std::size_t>(block));
-      for (std::size_t id : block) ++count[id];
-    }
-    for (std::size_t id = 0; id < n; ++id) {
-      EXPECT_EQ(stamps[id] == epoch,
-                count[id] == static_cast<int>(conditions))
-          << "draw " << draw << " id " << id;
-    }
-  }
+  return true;
 }
 
 TEST(SliceEpochTest, DrawSelectionMatchesMaterializingDraw) {
-  // Same RNG state through either entry point -> same slice: the stamped
-  // selection must contain exactly the objects whose test-attribute values
+  // Same RNG state through either entry point -> same slice: the rank
+  // windows must select exactly the objects whose test-attribute values
   // Draw materializes.
   Dataset ds = UniformDataset(400, 5, 21);
   SortedAttributeIndex index(ds);
@@ -134,21 +53,22 @@ TEST(SliceEpochTest, DrawSelectionMatchesMaterializingDraw) {
   SliceDraw draw;
   SliceSelection sel;
   const Subspace sub({0, 2, 3, 4});
+  const std::size_t block = sampler.BlockSize(sub.size(), 0.15);
   for (int i = 0; i < 50; ++i) {
     sampler.Draw(sub, 0.15, &r1, &s1, &draw);
-    sampler.DrawSelection(sub, 0.15, &r2, &s2, &sel);
+    sampler.DrawSelection(sub, block, &r2, &s2, &sel);
     EXPECT_EQ(sel.test_attribute, draw.test_attribute);
-    EXPECT_EQ(sel.num_conditions, sub.size() - 1);
-    std::vector<double> stamped;
+    EXPECT_EQ(sel.num_conditions(), sub.size() - 1);
+    std::vector<double> windowed;
     const auto& col = ds.Column(sel.test_attribute);
     for (std::size_t id = 0; id < 400; ++id) {
-      if (s2.stamps[id] == sel.selected_stamp) stamped.push_back(col[id]);
+      if (InSlice(sel, id)) windowed.push_back(col[id]);
     }
-    ASSERT_EQ(stamped.size(), draw.selected_count);
+    ASSERT_EQ(windowed.size(), draw.selected_count);
     std::vector<double> materialized = draw.conditional_sample;
     std::sort(materialized.begin(), materialized.end());
-    std::sort(stamped.begin(), stamped.end());
-    EXPECT_EQ(stamped, materialized);
+    std::sort(windowed.begin(), windowed.end());
+    EXPECT_EQ(windowed, materialized);
   }
 }
 
@@ -169,13 +89,14 @@ TEST(SliceEpochTest, SelectionSizeConcentratesAcrossDimensionalities) {
     std::vector<std::size_t> attrs(dims);
     std::iota(attrs.begin(), attrs.end(), std::size_t{0});
     const Subspace sub(attrs);
+    const std::size_t block = sampler.BlockSize(dims, alpha);
     double sum = 0.0;
     const int reps = 200;
     for (int rep = 0; rep < reps; ++rep) {
-      sampler.DrawSelection(sub, alpha, &rng, &scratch, &sel);
+      sampler.DrawSelection(sub, block, &rng, &scratch, &sel);
       std::size_t count = 0;
       for (std::size_t id = 0; id < n; ++id) {
-        count += scratch.stamps[id] == sel.selected_stamp;
+        count += InSlice(sel, id);
       }
       sum += static_cast<double>(count);
     }
